@@ -1,6 +1,6 @@
 use crate::{Layer, Mode, NnError, Param, Result};
-use nds_tensor::conv::{col2im_image, conv2d_ws, im2col_image, ConvGeometry};
-use nds_tensor::ops::{gemm_acc, gemm_transa, gemm_transb_acc};
+use nds_tensor::conv::{col2im_image, conv2d_lower, conv2d_ws, ConvGeometry};
+use nds_tensor::ops::{gemm_transa, gemm_transb_acc};
 use nds_tensor::parallel::worker_count;
 use nds_tensor::rng::Rng64;
 use nds_tensor::{Shape, Tensor, TensorError, Workspace};
@@ -8,15 +8,16 @@ use nds_tensor::{Shape, Tensor, TensorError, Workspace};
 /// 2-D convolution layer with optional bias.
 ///
 /// Weights have shape `[out_channels, in_channels, k, k]` and are
-/// He-initialised. The forward pass lowers per image onto the blocked
-/// parallel gemm (the same dataflow the `nds-hw` accelerator model
-/// assumes), with im2col scratch recycled through a private
-/// [`Workspace`] so steady-state forwards allocate only the output.
+/// He-initialised. Every forward runs [`conv2d_lower`]: per-image im2col
+/// onto the blocked gemm (the same dataflow the `nds-hw` accelerator
+/// model assumes), with the batch split into image ranges across the
+/// worker pool, one fan-out per call.
 ///
 /// The im2col patches are cached for the backward pass **only in
-/// [`Mode::Train`]**; inference-mode forwards skip the cache entirely
-/// (the Monte-Carlo engine never calls `backward`), halving their im2col
-/// work and memory traffic relative to the earlier always-cache design.
+/// [`Mode::Train`]**: there each image is unrolled into its slab of an
+/// image-major cache drawn from a private [`Workspace`]. Inference-mode
+/// forwards (the Monte-Carlo engine never calls `backward`) unroll into
+/// one image's scratch per task from the caller's pool instead.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -117,42 +118,30 @@ impl Layer for Conv2d {
         if let Some(old) = self.cache.take() {
             self.workspace.recycle(old.cols);
         }
-        // Training: unroll each image once into the (pooled, image-major)
-        // patch cache and gemm straight from it — the same kernel and
-        // accumulation order as conv2d_ws, so outputs are bit-identical
-        // across modes — then keep the patches for the weight gradient.
+        // Training: the same lowering as inference, but each image is
+        // unrolled into its own slab of the (pooled, image-major) patch
+        // cache, which is then kept for the weight gradient — so outputs
+        // are bit-identical across modes.
         let out_shape = self.out_shape(input.shape())?;
-        let (n, c, h, w) = input
-            .shape()
-            .as_nchw()
-            .expect("out_shape validated a rank-4 input");
-        let g = self.geometry;
-        let oc = self.out_channels;
-        let ckk = c * g.kernel * g.kernel;
-        let spatial = g.out_dim(h) * g.out_dim(w);
-        let per_image = ckk * spatial;
-        let x = input.as_slice();
-        let wt = self.weight.value.as_slice();
-        let bias = self.bias.as_ref().map(|b| b.value.as_slice());
-        let workers = worker_count();
-        let mut cols = self.workspace.take_dirty(n * per_image);
-        let mut out = vec![0.0f32; n * oc * spatial];
-        for ni in 0..n {
-            let slab = &mut cols[ni * per_image..(ni + 1) * per_image];
-            im2col_image(&x[ni * c * h * w..(ni + 1) * c * h * w], c, h, w, g, slab);
-            let orow = &mut out[ni * oc * spatial..(ni + 1) * oc * spatial];
-            if let Some(b) = bias {
-                for (o, row) in orow.chunks_mut(spatial).enumerate() {
-                    row.fill(b[o]);
-                }
-            }
-            gemm_acc(wt, slab, oc, ckk, spatial, orow, workers);
-        }
+        let (n, _, oh, ow) = out_shape.as_nchw().expect("conv2d output is rank-4");
+        let k = self.geometry.kernel;
+        let mut cols = self
+            .workspace
+            .take_dirty(n * self.in_channels * k * k * oh * ow);
+        let out = conv2d_lower(
+            input,
+            &self.weight.value,
+            self.bias.as_ref().map(|b| &*b.value),
+            self.geometry,
+            ws,
+            Some(&mut cols),
+            worker_count(),
+        )?;
         self.cache = Some(Cache {
             cols,
             input_shape: input.shape().clone(),
         });
-        Tensor::from_vec(out, out_shape).map_err(NnError::from)
+        Ok(out)
     }
 
     fn forward_mc_fused(
@@ -161,9 +150,10 @@ impl Layer for Conv2d {
         samples: usize,
         ws: &mut Workspace,
     ) -> Result<Tensor> {
-        // The fused sample-major pass just runs `samples × batch` rows
+        // The fused sample-major pass just runs `samples × batch` images
         // through the same per-image lowering inference uses — byte
-        // identity with the round-major path for free, and the narrow
+        // identity with the round-major path for free. The wide batch
+        // splits into one image range per worker, and the narrow
         // per-image gemms keep their column stride cache-friendly (a
         // single batch-wide gemm strides B by `N·OH·OW` floats, which
         // aliases L1 sets on power-of-two spatial sizes).
@@ -314,6 +304,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nds_tensor::conv::conv2d_direct;
 
     fn finite_diff_check(layer: &mut Conv2d, input: &Tensor) {
         // Loss = sum(output); analytic input gradient must match finite
@@ -356,12 +347,11 @@ mod tests {
         finite_diff_check(&mut conv, &x);
     }
 
-    #[test]
-    fn weight_gradient_matches_finite_differences() {
-        let mut rng = Rng64::new(3);
-        let mut conv = Conv2d::new(1, 2, ConvGeometry::new(3, 1, 0), false, &mut rng);
-        let x = Tensor::rand_normal(Shape::d4(1, 1, 5, 5), 0.0, 1.0, &mut rng);
-        let _ = conv.forward(&x, Mode::Train).unwrap();
+    /// Loss = sum(output); the analytic weight gradient, which reads the
+    /// cached patches, must match finite differences.
+    fn weight_diff_check(conv: &mut Conv2d, x: &Tensor) {
+        conv.params_mut()[0].zero_grad();
+        let _ = conv.forward(x, Mode::Train).unwrap();
         let out_shape = conv.out_shape(x.shape()).unwrap();
         let ones = Tensor::ones(out_shape);
         let _ = conv.backward(&ones).unwrap();
@@ -370,9 +360,9 @@ mod tests {
         for i in [0usize, 5, analytic.len() - 1] {
             let orig = conv.params()[0].value.as_slice()[i];
             conv.params_mut()[0].value.as_mut_slice()[i] = orig + eps;
-            let f_plus = conv.forward(&x, Mode::Train).unwrap().sum();
+            let f_plus = conv.forward(x, Mode::Train).unwrap().sum();
             conv.params_mut()[0].value.as_mut_slice()[i] = orig - eps;
-            let f_minus = conv.forward(&x, Mode::Train).unwrap().sum();
+            let f_minus = conv.forward(x, Mode::Train).unwrap().sum();
             conv.params_mut()[0].value.as_mut_slice()[i] = orig;
             let numeric = ((f_plus - f_minus) / (2.0 * eps as f64)) as f32;
             let got = analytic.as_slice()[i];
@@ -381,6 +371,14 @@ mod tests {
                 "weight {i}: numeric {numeric} vs analytic {got}"
             );
         }
+    }
+
+    #[test]
+    fn weight_gradient_matches_finite_differences() {
+        let mut rng = Rng64::new(3);
+        let mut conv = Conv2d::new(1, 2, ConvGeometry::new(3, 1, 0), false, &mut rng);
+        let x = Tensor::rand_normal(Shape::d4(1, 1, 5, 5), 0.0, 1.0, &mut rng);
+        weight_diff_check(&mut conv, &x);
     }
 
     #[test]
@@ -420,6 +418,33 @@ mod tests {
         let a = conv.forward(&x, Mode::Train).unwrap();
         let b = conv.forward(&x, Mode::Standard).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn train_and_inference_agree_on_a_split_batch() {
+        // Nine 4→8-channel 12×12 images carry enough work per image for
+        // the lowering to split the batch into image ranges across the
+        // pool. Train mode runs that split with the patch cache as its
+        // scratch; the outputs must still match inference and the oracle
+        // bit for bit, and both gradients must match finite differences.
+        let mut rng = Rng64::new(10);
+        let mut conv = Conv2d::new(4, 8, ConvGeometry::new(3, 1, 1), true, &mut rng);
+        let x = Tensor::rand_normal(Shape::d4(9, 4, 12, 12), 0.0, 1.0, &mut rng);
+        let direct = conv2d_direct(
+            &x,
+            &conv.weight.value,
+            conv.bias.as_ref().map(|b| &*b.value),
+            conv.geometry,
+        )
+        .unwrap();
+        let train = conv.forward(&x, Mode::Train).unwrap();
+        let standard = conv.forward(&x, Mode::Standard).unwrap();
+        let mc = conv.forward(&x, Mode::McInference).unwrap();
+        assert_eq!(train, direct);
+        assert_eq!(standard, direct);
+        assert_eq!(mc, direct);
+        finite_diff_check(&mut conv, &x);
+        weight_diff_check(&mut conv, &x);
     }
 
     #[test]

@@ -8,21 +8,30 @@
 //!
 //! # Performance notes
 //!
-//! [`conv2d`] lowers **per image** onto the cache-blocked, row-parallel
-//! [`crate::ops::gemm_acc`] kernel: for each batch item the `[C·K·K, OH·OW]`
-//! patch matrix is materialised once into a [`Workspace`]-pooled scratch
-//! buffer and multiplied against the weight matrix directly into that
-//! image's `[OC, OH·OW]` output slab. Compared to the earlier whole-batch
-//! lowering this
+//! [`conv2d`] lowers **per image** onto the cache-blocked
+//! [`crate::ops::gemm_acc`] kernel: for each batch item the
+//! `[C·K·K, OH·OW]` patch matrix is materialised once into a
+//! [`Workspace`]-pooled scratch buffer and multiplied against the weight
+//! matrix directly into that image's `[OC, OH·OW]` output slab. This
 //!
-//! * keeps the im2col scratch at one image (`C·K·K·OH·OW` floats) instead
-//!   of the whole batch, so it stays cache-resident and is recycled across
-//!   images and forward passes (steady-state forwards allocate only the
-//!   output),
-//! * writes gemm results straight into NCHW layout — the old
-//!   `[OC, N·OH·OW] → [N, OC, OH, OW]` rearrangement pass is gone,
-//! * parallelises over output-channel rows inside the gemm, which for the
-//!   VGG/ResNet-scale layers (64–512 channels) saturates the worker pool.
+//! * keeps the im2col scratch at one image (`C·K·K·OH·OW` floats) per
+//!   task instead of the whole batch, so it stays cache-resident and is
+//!   recycled across images and forward passes (steady-state forwards
+//!   allocate nothing once the pool is warm),
+//! * writes gemm results straight into NCHW layout — no
+//!   `[OC, N·OH·OW] → [N, OC, OH, OW]` rearrangement pass,
+//! * fans out to the worker pool **once per call**: [`conv2d_lower`]
+//!   splits the batch into at most `workers` contiguous image ranges,
+//!   each task running its images in turn with its own scratch and a
+//!   serial gemm. A narrow layer (LeNet's 6 and 16 channels) thus pays
+//!   one dispatch per call instead of one per image,
+//! * keeps the in-gemm split over output-channel rows when the call has
+//!   one image (batch-1 serving) or too little work for more than one
+//!   task (under ~64k multiply-adds each).
+//!
+//! Training uses the same lowering: [`conv2d_lower`] can unroll each
+//! image into its slab of an image-major patch cache that the backward
+//! pass keeps, instead of into per-task scratch.
 //!
 //! The bias is folded in by seeding each output row before accumulation,
 //! and accumulation order over `(channel, ky, kx)` is fixed and ascending,
@@ -31,7 +40,7 @@
 //! `tests/conv_props.rs`).
 
 use crate::ops::gemm_acc;
-use crate::parallel::worker_count;
+use crate::parallel::{run_scoped, worker_count};
 use crate::{Result, Shape, Tensor, TensorError, Workspace};
 
 /// Spatial geometry of a convolution or pooling window.
@@ -338,10 +347,11 @@ fn conv2d_check(
 /// 2-D convolution: weights `[OC, C, K, K]`, input `[N, C, H, W]`,
 /// optional bias `[OC]`, producing `[N, OC, OH, OW]`.
 ///
-/// Lowered per image through [`im2col_image`] + the blocked parallel
-/// [`gemm_acc`] kernel (see the module docs). Equivalent to
-/// [`conv2d_ws`] with a throwaway [`Workspace`]; hot loops should call
-/// that directly so the im2col scratch is reused across calls.
+/// Lowered per image through [`im2col_image`] + the blocked
+/// [`gemm_acc`] kernel, split over image ranges (see the module docs).
+/// Equivalent to [`conv2d_ws`] with a throwaway [`Workspace`]; hot loops
+/// should call that directly so the im2col scratch is reused across
+/// calls.
 ///
 /// # Errors
 ///
@@ -355,9 +365,10 @@ pub fn conv2d(
     conv2d_ws(input, weight, bias, g, &mut Workspace::new())
 }
 
-/// [`conv2d`] with an explicit scratch [`Workspace`]: the per-image
-/// im2col buffer is taken from (and returned to) the pool, so repeated
-/// forwards allocate nothing beyond the output tensor.
+/// [`conv2d`] with an explicit scratch [`Workspace`]: im2col scratch
+/// and the output are taken from the pool, so repeated forwards allocate
+/// nothing once it is warm. Fans out over [`worker_count`] workers via
+/// [`conv2d_lower`].
 ///
 /// Accumulation order per output element is fixed (bias seed, then
 /// `(channel, ky, kx)` ascending), so results are bit-identical across
@@ -373,45 +384,161 @@ pub fn conv2d_ws(
     g: ConvGeometry,
     workspace: &mut Workspace,
 ) -> Result<Tensor> {
+    conv2d_lower(input, weight, bias, g, workspace, None, worker_count())
+}
+
+/// Fewest multiply-adds worth one pool task in [`conv2d_lower`]'s image
+/// split — the same floor the gemm row split uses.
+const MIN_TASK_MACS: usize = 65_536;
+
+/// The per-image lowering behind every gemm convolution, split across
+/// `workers` (see the module docs). The output comes from `workspace`.
+///
+/// `patches` chooses where each image's `[C·K·K, OH·OW]` im2col matrix
+/// lives. With `None`, every task takes one image's scratch from
+/// `workspace` and returns it afterwards. With `Some(cache)`, image `i`
+/// is unrolled into `cache[i·C·K·K·OH·OW ..]` and the patches stay
+/// there for a backward pass; `cache` must hold `N·C·K·K·OH·OW` floats.
+///
+/// Bit-identical to [`conv2d_direct`] for every `workers` and `patches`.
+///
+/// # Errors
+///
+/// Returns shape errors when operand dimensions are inconsistent, and
+/// [`TensorError::InvalidArgument`] when `cache` has the wrong length.
+pub fn conv2d_lower(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    g: ConvGeometry,
+    workspace: &mut Workspace,
+    patches: Option<&mut [f32]>,
+    workers: usize,
+) -> Result<Tensor> {
     let (n, c, h, w, oc, oh, ow) = conv2d_check(input, weight, bias, g)?;
-    let k = g.kernel;
-    let ckk = c * k * k;
-    let spatial = oh * ow;
-    let x = input.as_slice();
-    let wt = weight.as_slice();
-    let bias = bias.map(|b| b.as_slice());
-    let workers = worker_count();
-    let mut cols = workspace.take_dirty(ckk * spatial);
-    // The output buffer also comes from the pool: under the Workspace
-    // ownership contract the caller recycles consumed activations, so
-    // steady-state forwards cycle the same buffers instead of draining
-    // the pool. With a bias, every output row is seeded before the gemm
-    // accumulates, so the zero-fill can be skipped entirely.
-    let mut out = if bias.is_some() {
-        workspace.take_dirty(n * oc * spatial)
-    } else {
-        workspace.take(n * oc * spatial)
+    let lowering = Lowering {
+        weight: weight.as_slice(),
+        bias: bias.map(|b| b.as_slice()),
+        c,
+        h,
+        w,
+        g,
+        oc,
+        ckk: c * g.kernel * g.kernel,
+        spatial: oh * ow,
     };
-    for ni in 0..n {
-        im2col_image(
-            &x[ni * c * h * w..(ni + 1) * c * h * w],
-            c,
-            h,
-            w,
-            g,
-            &mut cols,
-        );
-        let slab = &mut out[ni * oc * spatial..(ni + 1) * oc * spatial];
-        if let Some(b) = bias {
-            for (o, row) in slab.chunks_mut(spatial).enumerate() {
-                row.fill(b[o]);
-            }
+    let per_image = lowering.ckk * lowering.spatial;
+    if let Some(cache) = &patches {
+        if cache.len() != n * per_image {
+            return Err(TensorError::InvalidArgument {
+                op: "conv2d_lower",
+                msg: format!(
+                    "patch cache holds {} floats, {n} images need {}",
+                    cache.len(),
+                    n * per_image
+                ),
+            });
         }
-        // [OC, CKK] × [CKK, OH·OW] accumulated straight into the NCHW slab.
-        gemm_acc(wt, &cols, oc, ckk, spatial, slab, workers);
     }
-    workspace.recycle(cols);
+    let (in_image, out_image) = (c * h * w, oc * lowering.spatial);
+    let x = input.as_slice();
+    // Images per task: enough work per task to outweigh its dispatch.
+    let min_images = MIN_TASK_MACS.div_ceil((oc * per_image).max(1));
+    let chunk = n.div_ceil(workers.max(1)).max(min_images).min(n).max(1);
+    let tasks = n.div_ceil(chunk).max(1);
+    let keep = patches.is_some();
+    let mut scratch = None;
+    let cols: &mut [f32] = match patches {
+        Some(cache) => cache,
+        None => scratch.insert(workspace.take_dirty(tasks * per_image)),
+    };
+    // Every output element is seeded before the gemm accumulates, so the
+    // pool's zero-fill can be skipped.
+    let mut out = workspace.take_dirty(n * out_image);
+    if tasks == 1 {
+        // One image, or too little work to split: images run in turn and
+        // each gemm splits its output-channel rows across the workers.
+        lowering.images(n, x, &mut out, cols, keep, workers);
+    } else {
+        // One fan-out per call: task `t` convolves images
+        // `t·chunk .. (t+1)·chunk` with its own scratch slab.
+        let lowering = &lowering;
+        let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(tasks);
+        let (mut out_rest, mut cols_rest) = (&mut out[..], cols);
+        for t in 0..tasks {
+            let count = chunk.min(n - t * chunk);
+            let xs = &x[t * chunk * in_image..(t * chunk + count) * in_image];
+            let (o, rest) = std::mem::take(&mut out_rest).split_at_mut(count * out_image);
+            out_rest = rest;
+            let slab = if keep { count * per_image } else { per_image };
+            let (cs, rest) = std::mem::take(&mut cols_rest).split_at_mut(slab);
+            cols_rest = rest;
+            jobs.push(Box::new(move || lowering.images(count, xs, o, cs, keep, 1)));
+        }
+        run_scoped(jobs);
+    }
+    if let Some(buf) = scratch {
+        workspace.recycle(buf);
+    }
     Tensor::from_vec(out, Shape::d4(n, oc, oh, ow))
+}
+
+/// One convolution's operands and dimensions, shared by the tasks of a
+/// [`conv2d_lower`] call.
+struct Lowering<'a> {
+    weight: &'a [f32],
+    bias: Option<&'a [f32]>,
+    c: usize,
+    h: usize,
+    w: usize,
+    g: ConvGeometry,
+    oc: usize,
+    ckk: usize,
+    spatial: usize,
+}
+
+impl Lowering<'_> {
+    /// Convolves the `n` consecutive images in `x` into `out`, one at a
+    /// time: im2col, bias seed, then `[OC, CKK] × [CKK, OH·OW]`
+    /// accumulated straight into the image's NCHW slab. `cols` holds one
+    /// patch slab per image when `keep` is set, else one slab reused by
+    /// each image.
+    fn images(
+        &self,
+        n: usize,
+        x: &[f32],
+        out: &mut [f32],
+        cols: &mut [f32],
+        keep: bool,
+        workers: usize,
+    ) {
+        let (in_image, out_image) = (self.c * self.h * self.w, self.oc * self.spatial);
+        let per_image = self.ckk * self.spatial;
+        for i in 0..n {
+            let base = if keep { i * per_image } else { 0 };
+            let cols = &mut cols[base..base + per_image];
+            let img = &x[i * in_image..(i + 1) * in_image];
+            im2col_image(img, self.c, self.h, self.w, self.g, cols);
+            let slab = &mut out[i * out_image..(i + 1) * out_image];
+            match self.bias {
+                Some(b) => {
+                    for (row, &bv) in slab.chunks_mut(self.spatial).zip(b) {
+                        row.fill(bv);
+                    }
+                }
+                None => slab.fill(0.0),
+            }
+            gemm_acc(
+                self.weight,
+                cols,
+                self.oc,
+                self.ckk,
+                self.spatial,
+                slab,
+                workers,
+            );
+        }
+    }
 }
 
 /// Naive direct convolution — the oracle the gemm-lowered [`conv2d`] is
