@@ -352,15 +352,15 @@ fn main() {
     let adapt_gated_secs = time_engine(&mut adapt_engine, &adapt_images, if smoke { 2 } else { 5 });
 
     // ------------------------------------------------------------------
-    // Serving front-end: deadline-aware dynamic batching over the
-    // engine. Batch-1 serial = submit one request, wait, repeat — every
-    // request pays the client/dispatcher handoff plus a coalescing
-    // window that never fills. Saturation = submit the whole request
-    // set up front, then collect — the size trigger fires full
-    // micro-batches and the dispatch pipeline stays busy. Response
-    // bytes are identical in both phases (pinned by tests/serving.rs);
-    // only scheduling differs, and the gap between the two rows is the
-    // price/payoff of dynamic batching.
+    // Serving front-end: work-conserving dispatch over the engine.
+    // Batch-1 serial = submit one request, wait, repeat — every request
+    // finds an idle dispatcher and pays only the client/dispatcher
+    // handoff. Saturation = submit the whole request set up front, then
+    // collect — each dispatcher wake-up drains up to `max_batch` of the
+    // backlog and the dispatch pipeline stays busy. Response bytes are
+    // identical in both phases (pinned by tests/serving.rs); only
+    // scheduling differs, and the gap between the two rows is what
+    // draining a backlog per wake-up buys.
     // ------------------------------------------------------------------
     let (serve_serial_reqs, serve_sat_reqs, serve_max_batch) =
         if smoke { (6, 12, 4) } else { (48, 192, 32) };
@@ -370,7 +370,6 @@ fn main() {
     };
     let mut serve_builder = ServerBuilder::new(supernet.net_mut().clone())
         .max_batch(serve_max_batch)
-        .max_wait_ms(0.5)
         .execution(execution);
     let serve_tenant = serve_builder.tenant(TenantSpec {
         seed: 0,

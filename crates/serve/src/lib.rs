@@ -4,10 +4,11 @@
 //! request streams share one set of trained weights, and the datapath
 //! amortises per-invocation overhead by running back-to-back. This
 //! crate is the software analogue for the reproduction — a [`Server`]
-//! that accepts typed requests from many concurrent callers, coalesces
-//! them into micro-batches on a dedicated dispatcher thread, and serves
-//! each through a **multi-tenant pool** of [`UncertaintyEngine`]s that
-//! all share the trained network's weights copy-on-write.
+//! that accepts typed requests from many concurrent callers, serves
+//! them as they arrive on a dedicated dispatcher thread (a backlog that
+//! builds up while it is busy leaves in one wake-up), and runs each
+//! through a **multi-tenant pool** of [`UncertaintyEngine`]s that all
+//! share the trained network's weights copy-on-write.
 //!
 //! # Dispatch policy
 //!
@@ -24,26 +25,24 @@
 //! With the default (infinite) admission SLO the queue is unbounded,
 //! matching the historical behaviour.
 //!
-//! The dispatcher collects pending requests
-//! and fires a micro-batch when either trigger arrives, whichever is
-//! first:
+//! The dispatcher is **work-conserving**: it never holds a request
+//! back in the hope that batch-mates arrive. It blocks while the queue
+//! is empty; each wake-up drains whatever is already queued, up to
+//! [`ServerBuilder::max_batch`] requests, and serves that backlog
+//! back-to-back, oldest first, before it looks at the queue again. A
+//! lone request on an idle server therefore goes out at once, while the
+//! requests that queued behind a busy dispatcher still leave together
+//! in one wake-up. Since a batch never joins tensors (see below), a
+//! wait for a fuller batch would add latency and buy nothing.
 //!
-//! * **Size** — [`ServerBuilder::max_batch`] requests are waiting.
-//! * **Deadline** — the oldest admissible wait has expired. Each
-//!   request may wait at most
-//!   `min(max_wait_ms, latency_budget_ms / 2)` in the queue
-//!   ([`dispatch_wait_cap_ms`]): an explicit per-request SLO halves the
-//!   coalescing window so queueing can never consume the whole budget.
-//!
-//! Within a batch, requests are served oldest-first, and the queue wait
-//! a request actually paid is subtracted from its latency budget before
-//! the engine sees it ([`remaining_budget_ms`]) — the engine's
-//! deadline-aware degradation then acts on the *remaining* time, so an
-//! SLO covers queue + service, not service alone. A request that is
-//! already overdue when dispatched is still served (with a vanishing
-//! budget, so the engine degrades to its one-round minimum) rather than
-//! dropped; [`ServeResponse::timing`] reports the queue wait so callers
-//! can see where the time went.
+//! The queue wait a request actually paid is subtracted from its
+//! latency budget before the engine sees it ([`remaining_budget_ms`]) —
+//! the engine's deadline-aware degradation then acts on the *remaining*
+//! time, so an SLO covers queue + service, not service alone. A request
+//! that is already overdue when dispatched is still served (with a
+//! vanishing budget, so the engine degrades to its one-round minimum)
+//! rather than dropped; [`ServeResponse::timing`] reports the queue
+//! wait so callers can see where the time went.
 //!
 //! # Determinism: why coalescing never concatenates tensors
 //!
@@ -96,7 +95,7 @@
 //! net.push(Box::new(Flatten::new()));
 //! net.push(Box::new(Linear::new(4, 3, true, &mut rng)));
 //!
-//! let mut builder = ServerBuilder::new(net).max_batch(4).max_wait_ms(1.0);
+//! let mut builder = ServerBuilder::new(net).max_batch(4);
 //! let tenant = builder.tenant(TenantSpec {
 //!     seed: 7,
 //!     samples: 3,
@@ -114,14 +113,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::error::Error as StdError;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use nds_adaptive::AdaptivePolicy;
 use nds_engine::{
@@ -289,9 +287,9 @@ pub struct ServeRequest {
     /// probabilities.
     pub outputs: UncertaintyFlags,
     /// Optional end-to-end deadline in milliseconds, covering queue
-    /// wait *plus* service. When set, the coalescing window shrinks to
-    /// at most half the budget, and the engine degrades gracefully
-    /// inside whatever remains after queueing (see the crate docs).
+    /// wait *plus* service. The dispatcher subtracts the queue wait the
+    /// request paid, and the engine degrades gracefully inside whatever
+    /// remains (see the crate docs).
     pub latency_budget_ms: Option<f64>,
 }
 
@@ -329,8 +327,9 @@ pub struct ServeTiming {
     /// Milliseconds the engine spent serving the request once
     /// dispatched.
     pub service_ms: f64,
-    /// How many requests the dispatching micro-batch contained (1 =
-    /// the request went out alone).
+    /// How many requests the dispatcher wake-up that served this one
+    /// drained from the queue (1 = the request went out alone; more
+    /// means it queued behind a busy dispatcher).
     pub batch_size: usize,
 }
 
@@ -495,7 +494,6 @@ pub struct ServerBuilder {
     backend: Backend,
     execution: Execution,
     max_batch: usize,
-    max_wait_ms: f64,
     workers: usize,
     transient_retries: usize,
     admission_slo_ms: f64,
@@ -504,16 +502,15 @@ pub struct ServerBuilder {
 
 impl ServerBuilder {
     /// Starts a builder around the trained network with the default
-    /// policy: float backend, micro-batches of up to 8, a 2 ms
-    /// coalescing window, pool-sized engine workers, fail-fast on
-    /// transient faults.
+    /// policy: float backend, up to 8 requests served per dispatcher
+    /// wake-up, pool-sized engine workers, fail-fast on transient
+    /// faults.
     pub fn new(net: Sequential) -> Self {
         ServerBuilder {
             net,
             backend: Backend::Float32,
             execution: Execution::default(),
             max_batch: 8,
-            max_wait_ms: 2.0,
             workers: 0,
             transient_retries: 0,
             admission_slo_ms: f64::INFINITY,
@@ -550,23 +547,12 @@ impl ServerBuilder {
         self
     }
 
-    /// Dispatch-size trigger: a micro-batch fires as soon as this many
-    /// requests are waiting (clamped to at least 1).
+    /// The most queued requests one dispatcher wake-up drains and
+    /// serves back-to-back (clamped to at least 1). It bounds how long
+    /// the dispatcher goes without looking at the queue; it never makes
+    /// a request wait for batch-mates.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Dispatch-deadline trigger: no request waits in the queue longer
-    /// than this many milliseconds (clamped to at least 0; a request's
-    /// own latency budget can shorten its wait further, never extend
-    /// it).
-    pub fn max_wait_ms(mut self, max_wait_ms: f64) -> Self {
-        self.max_wait_ms = if max_wait_ms.is_finite() {
-            max_wait_ms.max(0.0)
-        } else {
-            0.0
-        };
         self
     }
 
@@ -599,7 +585,6 @@ impl ServerBuilder {
     /// usable out of the box.
     pub fn build(self) -> Server {
         let max_batch = self.max_batch.max(1);
-        let max_wait_ms = self.max_wait_ms;
         let mut tenants = self.tenants;
         if tenants.is_empty() {
             tenants.push(TenantSpec::default());
@@ -632,13 +617,7 @@ impl ServerBuilder {
                         engine
                     })
                     .collect();
-                dispatch_loop(
-                    &rx,
-                    &mut engines,
-                    max_batch,
-                    max_wait_ms,
-                    &admission_for_dispatch,
-                );
+                dispatch_loop(&rx, &mut engines, max_batch, &admission_for_dispatch);
             })
             // Panic-audit: invariant-only. `spawn` fails only when the OS
             // refuses a thread, which no input to this crate can cause.
@@ -648,16 +627,15 @@ impl ServerBuilder {
             dispatcher: Some(dispatcher),
             tenant_count,
             max_batch,
-            max_wait_ms,
             admission,
             admission_slo_ms: self.admission_slo_ms,
         }
     }
 }
 
-/// The serving front-end: accepts requests from any thread, coalesces
-/// them into micro-batches on its dispatcher thread, and answers each
-/// through its [`Ticket`]. See the crate docs for the dispatch policy
+/// The serving front-end: accepts requests from any thread, serves them
+/// as they arrive on its dispatcher thread, and answers each through
+/// its [`Ticket`]. See the crate docs for the dispatch policy
 /// and determinism guarantees.
 #[derive(Debug)]
 pub struct Server {
@@ -665,7 +643,6 @@ pub struct Server {
     dispatcher: Option<JoinHandle<()>>,
     tenant_count: usize,
     max_batch: usize,
-    max_wait_ms: f64,
     admission: Arc<Admission>,
     admission_slo_ms: f64,
 }
@@ -731,14 +708,17 @@ impl Server {
         (index < self.tenant_count).then_some(TenantId(index))
     }
 
-    /// The dispatch-size trigger.
+    /// The most requests one dispatcher wake-up serves.
     pub fn max_batch(&self) -> usize {
         self.max_batch
     }
 
-    /// The dispatch-deadline trigger (milliseconds).
+    /// How long the dispatcher holds a request for batch-mates, in
+    /// milliseconds: always `0.0`, because dispatch is work-conserving
+    /// (see the crate docs). Kept for reports that print the dispatch
+    /// policy.
     pub fn max_wait_ms(&self) -> f64 {
-        self.max_wait_ms
+        0.0
     }
 
     /// The worst admissible SLO bounding the queue (`+∞` = unbounded).
@@ -777,17 +757,6 @@ impl Drop for Server {
     }
 }
 
-/// How long a request may sit in the admission queue: the server-wide
-/// coalescing window, halved to the request's own latency budget when
-/// that is tighter — queueing must never consume a whole SLO before the
-/// engine gets a chance to serve within it.
-fn dispatch_wait_cap_ms(max_wait_ms: f64, budget_ms: Option<f64>) -> f64 {
-    match budget_ms {
-        Some(budget) => max_wait_ms.min(budget * 0.5),
-        None => max_wait_ms,
-    }
-}
-
 /// The budget forwarded to the engine after queueing: the request's SLO
 /// minus the queue wait it already paid, floored at [`MIN_BUDGET_MS`]
 /// so an overdue request degrades to the engine's one-round minimum
@@ -796,65 +765,23 @@ fn remaining_budget_ms(budget_ms: f64, queue_wait_ms: f64) -> f64 {
     (budget_ms - queue_wait_ms).max(MIN_BUDGET_MS)
 }
 
-/// The dispatcher: collects jobs until a size or deadline trigger,
-/// then serves the oldest `max_batch` jobs back-to-back. Returns when
-/// every [`Server`] sender is gone *and* the queue is drained.
+/// The dispatcher: blocks while the queue is empty, then drains up to
+/// `max_batch` already-queued jobs and serves them back-to-back, oldest
+/// first. Returns when every [`Server`] sender is gone *and* the queue
+/// is drained (`recv` yields buffered jobs before it reports
+/// disconnection).
 fn dispatch_loop(
     rx: &Receiver<Job>,
     engines: &mut [UncertaintyEngine],
     max_batch: usize,
-    max_wait_ms: f64,
     admission: &Admission,
 ) {
-    let mut pending: VecDeque<Job> = VecDeque::new();
-    loop {
-        if pending.is_empty() {
-            match rx.recv() {
-                Ok(job) => pending.push_back(job),
-                // Admission closed and nothing left to drain: clean exit.
-                Err(_) => return,
-            }
-        }
-        // First pull everything already queued, without consulting the
-        // clock: requests that arrived while the previous batch was
-        // being served coalesce immediately instead of trickling out
-        // one per dispatch (their wait caps are typically long expired,
-        // which would otherwise cut every saturated batch to size 1).
-        while pending.len() < max_batch {
-            match rx.try_recv() {
-                Ok(job) => pending.push_back(job),
-                Err(_) => break,
-            }
-        }
-        // Then coalesce until the batch is full or the earliest
-        // per-request wait cap expires. Disconnection stops coalescing
-        // but not serving — the drain continues through the outer loop.
-        while pending.len() < max_batch {
-            let deadline = pending
-                .iter()
-                .map(|job| {
-                    job.enqueued
-                        + Duration::from_secs_f64(
-                            dispatch_wait_cap_ms(max_wait_ms, job.budget_ms) / 1e3,
-                        )
-                })
-                .min()
-                // Panic-audit: invariant-only. The outer loop guarantees
-                // `pending` is non-empty on entry.
-                .expect("pending queue is non-empty while coalescing");
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => pending.push_back(job),
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        let batch_size = pending.len().min(max_batch);
-        for _ in 0..batch_size {
-            // Panic-audit: invariant-only. `batch_size <= pending.len()`.
-            let job = pending.pop_front().expect("batched job present");
+    let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
+    while let Ok(first) = rx.recv() {
+        batch.push(first);
+        batch.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(max_batch - 1));
+        let batch_size = batch.len();
+        for job in batch.drain(..) {
             serve_one(engines, job, batch_size, admission);
         }
     }
@@ -941,14 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_cap_is_halved_by_a_tighter_budget() {
-        assert_eq!(dispatch_wait_cap_ms(2.0, None), 2.0);
-        assert_eq!(dispatch_wait_cap_ms(2.0, Some(100.0)), 2.0);
-        assert_eq!(dispatch_wait_cap_ms(2.0, Some(1.0)), 0.5);
-        assert_eq!(dispatch_wait_cap_ms(0.0, Some(1.0)), 0.0);
-    }
-
-    #[test]
     fn remaining_budget_subtracts_queue_wait_and_never_hits_zero() {
         assert_eq!(remaining_budget_ms(10.0, 4.0), 6.0);
         assert_eq!(remaining_budget_ms(10.0, 10.0), MIN_BUDGET_MS);
@@ -979,6 +898,31 @@ mod tests {
         assert!(response.timing.batch_size >= 1);
         assert!(response.timing.queue_wait_ms >= 0.0);
         assert!(response.timing.service_ms >= 0.0);
+    }
+
+    #[test]
+    fn a_lone_request_is_not_held_for_batch_mates() {
+        // Default knobs, one request in flight at a time: each finds an
+        // idle dispatcher and must go out at once, alone. The first
+        // wait also covers the engine prewarm, hence the minimum.
+        let mut builder = ServerBuilder::new(stochastic_net(9));
+        let tenant = builder.tenant(TenantSpec::default());
+        let server = builder.build();
+        let mut min_wait_ms = f64::INFINITY;
+        for i in 0..5 {
+            let timing = server
+                .submit(tenant, ServeRequest::new(images(30 + i, 1)))
+                .unwrap()
+                .wait()
+                .unwrap()
+                .timing;
+            assert_eq!(timing.batch_size, 1);
+            min_wait_ms = min_wait_ms.min(timing.queue_wait_ms);
+        }
+        assert!(
+            min_wait_ms < 1.0,
+            "an idle dispatcher must not hold a lone request, waited {min_wait_ms} ms"
+        );
     }
 
     #[test]

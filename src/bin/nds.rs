@@ -9,12 +9,14 @@
 //!             [--islands N] [--migrate-every K] [--seed N] [--gp N]
 //! nds eval    --arch lenet|vgg|resnet|vit --config BKM [--seed N]
 //!             [--samples S] [--val N] [--execution round-major|sample-major]
+//!             [--adaptive off|T] [--gate entropy|top-var] [--pilot N] [--extended]
 //! nds analyze --arch lenet|vgg|resnet|vit --config BKM [--spatial] [--samples S]
 //! nds hls     --arch lenet|vgg|resnet|vit --config BKM --out DIR
 //! nds space   --arch lenet|vgg|resnet|vit [--extended]
 //! nds serve-bench [--arch ...] [--samples S] [--tenants T] [--max-batch M]
-//!             [--wait-ms W] [--serial N] [--requests N] [--seed N]
+//!             [--serial N] [--requests N] [--seed N]
 //!             [--execution round-major|sample-major]
+//!             [--adaptive off|T] [--gate entropy|top-var] [--pilot N]
 //! ```
 //!
 //! `run` executes the full four-phase framework; `search` trains the
@@ -33,6 +35,8 @@
 //! the generated project to disk; `space` lists the search space;
 //! `serve-bench` drives the dynamic-batching serving front-end and
 //! reports batch-1 p50/p99 latency against saturation throughput.
+//! Each command accepts only its own flags: any other flag is a usage
+//! error (exit 2), so a typo never runs silently with defaults.
 
 use neural_dropout_search::core::{LatencySource, Specification};
 use neural_dropout_search::hls::generate_project;
@@ -61,13 +65,13 @@ USAGE:
                 [--samples <S>] [--val <N>]
                 [--execution <round-major|sample-major>]
                 [--adaptive <off|THRESHOLD>] [--gate <entropy|top-var>]
-                [--pilot <N>]
+                [--pilot <N>] [--extended]
     nds analyze --arch <lenet|vgg|resnet|vit> --config <CODES> [--spatial] [--samples <S>]
     nds hls     --arch <lenet|vgg|resnet|vit> --config <CODES> --out <DIR>
     nds space   --arch <lenet|vgg|resnet|vit> [--extended]
     nds serve-bench [--arch <lenet|vgg|resnet|vit>] [--samples <S>] [--tenants <T>]
-                [--max-batch <M>] [--wait-ms <W>] [--serial <N>] [--requests <N>]
-                [--seed <N>] [--execution <round-major|sample-major>]
+                [--max-batch <M>] [--serial <N>] [--requests <N>] [--seed <N>]
+                [--execution <round-major|sample-major>]
                 [--adaptive <off|THRESHOLD>] [--gate <entropy|top-var>]
                 [--pilot <N>]
 
@@ -155,34 +159,62 @@ fn main() -> ExitCode {
     }
 }
 
+type Handler = fn(&HashMap<String, String>) -> Result<(), CliError>;
+
 fn dispatch(args: &[String]) -> Result<(), CliError> {
     let Some(command) = args.first() else {
         return Err(usage("missing command"));
     };
-    let flags = parse_flags(&args[1..])?;
-    match command.as_str() {
-        "run" => cmd_run(&flags),
-        "search" => cmd_search(&flags),
-        "eval" => cmd_eval(&flags),
-        "analyze" => cmd_analyze(&flags),
-        "hls" => cmd_hls(&flags),
-        "space" => cmd_space(&flags),
-        "serve-bench" => cmd_serve_bench(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(usage(format!("unknown command `{other}`"))),
-    }
+    // Each command with the flags it reads; `run` and `search` share
+    // the `spec_for` family (arch, aim, seed, gp, extended).
+    let (handler, accepted): (Handler, &str) = match command.as_str() {
+        "run" => (cmd_run, "arch aim seed gp extended"),
+        "search" => (
+            cmd_search,
+            "arch aim seed gp extended strategy generations population parents budget epochs \
+             train val checkpoint resume stop-after checkpoint-every islands migrate-every",
+        ),
+        "eval" => (
+            cmd_eval,
+            "arch config seed samples val execution adaptive gate pilot extended",
+        ),
+        "analyze" => (cmd_analyze, "arch config spatial samples"),
+        "hls" => (cmd_hls, "arch config out"),
+        "space" => (cmd_space, "arch extended"),
+        "serve-bench" => (
+            cmd_serve_bench,
+            "arch samples tenants max-batch serial requests seed execution adaptive gate pilot",
+        ),
+        "help" | "--help" | "-h" => (cmd_help, ""),
+        other => return Err(usage(format!("unknown command `{other}`"))),
+    };
+    let flags = parse_flags(command, &args[1..], accepted)?;
+    handler(&flags)
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
+fn cmd_help(_flags: &HashMap<String, String>) -> Result<(), CliError> {
+    println!("{USAGE}");
+    Ok(())
+}
+
+/// Parses `--key value` pairs (and the value-less boolean flags),
+/// rejecting any flag not named in the space-separated `accepted` list
+/// so that a typo or a removed flag fails with usage instead of running
+/// with defaults.
+fn parse_flags(
+    command: &str,
+    args: &[String],
+    accepted: &str,
+) -> Result<HashMap<String, String>, CliError> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| usage(format!("expected a --flag, got `{}`", args[i])))?;
+        if !accepted.split_whitespace().any(|flag| flag == key) {
+            return Err(usage(format!("`{command}` does not take --{key}")));
+        }
         // Boolean flags take no value.
         if matches!(key, "extended" | "spatial" | "resume") {
             flags.insert(key.to_string(), "true".to_string());
@@ -997,7 +1029,6 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let samples: usize = parse_flag(flags, "samples", 3)?;
     let tenants: usize = parse_flag::<usize>(flags, "tenants", 1)?.max(1);
     let max_batch: usize = parse_flag(flags, "max-batch", 8)?;
-    let wait_ms: f64 = parse_flag(flags, "wait-ms", 0.5)?;
     let serial_reqs: usize = parse_flag::<usize>(flags, "serial", 16)?.max(2);
     let sat_reqs: usize = parse_flag::<usize>(flags, "requests", 64)?.max(1);
     let execution: Execution = parse_flag(flags, "execution", Execution::RoundMajor)?;
@@ -1027,7 +1058,6 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
     let mut builder = ServerBuilder::new(supernet.net_mut().clone())
         .max_batch(max_batch)
-        .max_wait_ms(wait_ms)
         .execution(execution);
     let tenant_ids: Vec<_> = (0..tenants)
         .map(|t| {
@@ -1041,7 +1071,7 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let server = builder.build();
     println!(
         "serve-bench arch={} samples={samples} tenants={tenants} max_batch={max_batch} \
-         wait_ms={wait_ms} execution={execution}",
+         execution={execution}",
         spec.arch.name
     );
     if let Some(esc) = adaptive
@@ -1056,7 +1086,7 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
     }
 
     // Warm-up, then batch-1 serial: one request in flight at a time —
-    // each pays the full handoff plus the (empty) coalescing window.
+    // each finds an idle dispatcher and pays only the handoff.
     let submit = |t: usize, i: u64| {
         server
             .submit(tenant_ids[t % tenants], ServeRequest::new(image(i)))

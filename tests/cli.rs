@@ -311,6 +311,20 @@ fn adaptive_flags_reject_bad_values_before_any_work() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors() {
+    // A removed flag or a misspelt one must not run with defaults.
+    for args in [
+        &["serve-bench", "--wait-ms", "1"][..],
+        &["eval", "--sampels", "3"][..],
+    ] {
+        let (code, stdout, stderr) = nds_status(args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2: {stderr}");
+        assert!(stderr.contains("does not take"), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} started work: {stdout}");
+    }
+}
+
+#[test]
 fn adaptive_eval_reports_the_gate_after_the_pinned_lines() {
     let (ok, stdout, stderr) = nds(&[
         "eval",

@@ -12,6 +12,7 @@ use neural_dropout_search::engine::{EngineBuilder, EngineError, PredictRequest};
 use neural_dropout_search::fault::FaultPlan;
 use neural_dropout_search::nn::arch::{FeatureShape, SlotInfo, SlotPosition};
 use neural_dropout_search::nn::layers::{Flatten, Linear, Sequential};
+use neural_dropout_search::serve::{ServeRequest, ServerBuilder, TenantSpec};
 use neural_dropout_search::tensor::parallel::{
     pool_respawn_count, run_scoped_checked, worker_count,
 };
@@ -244,4 +245,40 @@ fn slow_passes_degrade_sample_count_within_the_latency_budget() {
         want.probs.as_slice(),
         "degraded probabilities must equal the unbudgeted prefix"
     );
+}
+
+#[test]
+fn a_backlog_behind_a_busy_dispatcher_leaves_in_one_wake_up() {
+    let _serial = serial();
+    // One engine worker: the three MC passes of a request run in turn,
+    // so a slowed request keeps the dispatcher busy for ~60 ms.
+    let mut builder = ServerBuilder::new(stochastic_net(31)).workers(1);
+    let tenant = builder.tenant(TenantSpec::default());
+    let server = builder.build();
+    // Warm up before the plan arms, so the dispatcher is idle in its
+    // loop (not prewarming) when the slow request arrives.
+    server
+        .submit(tenant, ServeRequest::new(batch(32)))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let injected = FaultPlan::new(33)
+        .slow_pass(Duration::from_millis(20))
+        .activate();
+    let busy = server.submit(tenant, ServeRequest::new(batch(34))).unwrap();
+    // Let the dispatcher take the slow request; the next three queue
+    // behind it and must go out together in the following wake-up.
+    std::thread::sleep(Duration::from_millis(10));
+    let backlog: Vec<_> = (0..3)
+        .map(|i| {
+            server
+                .submit(tenant, ServeRequest::new(batch(35 + i)))
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(busy.wait().unwrap().timing.batch_size, 1);
+    for ticket in backlog {
+        assert_eq!(ticket.wait().unwrap().timing.batch_size, 3);
+    }
+    drop(injected);
 }

@@ -107,8 +107,7 @@ proptest! {
     ) {
         let net = stochastic_net(42);
         let mut builder = ServerBuilder::new(net.clone())
-            .max_batch(max_batch)
-            .max_wait_ms(0.5);
+            .max_batch(max_batch);
         let tenant_ids: Vec<_> = TENANTS.iter().map(|s| builder.tenant(s.clone())).collect();
         let server = builder.build();
 
@@ -196,9 +195,7 @@ fn concurrent_clients_all_get_their_own_answers() {
     const PER_CLIENT: usize = 6;
 
     let net = stochastic_net(7);
-    let mut builder = ServerBuilder::new(net.clone())
-        .max_batch(4)
-        .max_wait_ms(0.5);
+    let mut builder = ServerBuilder::new(net.clone()).max_batch(4);
     let tenant_ids: Vec<_> = TENANTS.iter().map(|s| builder.tenant(s.clone())).collect();
     let server = builder.build();
 
