@@ -22,57 +22,32 @@
 //! Because every sample's masks depend only on its index — never on
 //! execution order or thread assignment — the parallel result is
 //! **bit-identical** to a serial run (pinned by the crate's tests).
-//! Scratch buffers for the sample slab and the mean reduction come from
-//! a [`Workspace`] so steady-state prediction rounds allocate nothing
-//! beyond the per-pass activations.
+//! Scratch buffers come from a [`Workspace`] so steady-state prediction
+//! rounds allocate nothing beyond the per-pass activations.
 //!
-//! This module is the *harness*; the serving front end is
-//! `nds_engine::UncertaintyEngine`, which routes the float and quantised
-//! datapaths through [`mc_sample_rounds_into`] behind one
-//! request/response API (the historical `mc_predict*` free functions
-//! were retired once every caller had migrated onto it), and
-//! `nds_serve::Server` multiplexes many tenants over engines whose
-//! clone caches all share one net's weights copy-on-write.
+//! # Two harnesses, one slab layout
+//!
+//! This module holds the two round harnesses: [`mc_sample_rounds_into`]
+//! runs one pass per sample (round-major), and
+//! [`mc_sample_rounds_fused_into`] runs all samples as one fused pass
+//! (sample-major). Both write the same sample slab: sample `s`'s pass
+//! occupies `out[s * pass_len .. (s + 1) * pass_len]`. The harnesses
+//! only schedule passes; the caller picks the walker that runs one
+//! (`nds_nn::train`'s tapped round-major and fused walkers, the
+//! gathered and exit-head walkers) and reduces the slab.
+//!
+//! The caller is `nds_engine::UncertaintyEngine`. Its one request driver
+//! picks the walker and the quantise tap for the float and fixed-point
+//! datapaths, runs each stage of a request through one retry-and-scan
+//! wrapper over these harnesses, and averages every row over its own
+//! samples in one per-row reduction. `nds_serve::Server` multiplexes
+//! many tenants over engines whose clone caches all share one net's
+//! weights copy-on-write.
 
 use nds_nn::layers::Sequential;
 use nds_nn::Layer;
 use nds_tensor::parallel::PoolError;
 use nds_tensor::{SharedTensor, Tensor, Workspace};
-
-/// Reduces a sample slab (`samples` rows of `out.len()` elements, as
-/// filled by [`mc_sample_rounds_into`]) into the mean distribution:
-/// sums the rows into `out` — which must arrive zero-filled — in
-/// **ascending sample order**, then scales by `1/samples`. Every MC
-/// driver (the serving engine's float and quantised backends, and any
-/// test harness over [`mc_sample_rounds_into`]) shares this one
-/// reduction so the accumulation order, and therefore the bytes, can
-/// never drift between them.
-///
-/// # Panics
-///
-/// Panics when `samples == 0` or `slab.len() != samples * out.len()` —
-/// driver programming errors. (Historically a zero sample count was
-/// silently clamped to 1 here; every driver now validates its sample
-/// count up front with a typed error, so a zero reaching the reduction
-/// is a bug worth crashing on.)
-pub fn mean_over_samples(slab: &[f32], samples: usize, out: &mut [f32]) {
-    assert!(samples > 0, "sample count must be positive");
-    let pass_len = out.len();
-    assert_eq!(
-        slab.len(),
-        samples * pass_len,
-        "sample slab must hold samples x pass_len elements"
-    );
-    for s in 0..samples {
-        for (m, &p) in out.iter_mut().zip(&slab[s * pass_len..(s + 1) * pass_len]) {
-            *m += p;
-        }
-    }
-    let inv = 1.0 / samples as f32;
-    for m in out {
-        *m *= inv;
-    }
-}
 
 /// One pooled worker of the [`McCloneCache`]: a copy-on-write clone of
 /// the source network plus the warm workspace its passes draw from.
@@ -224,8 +199,7 @@ impl McCloneCache {
     }
 }
 
-/// The Monte-Carlo round harness shared by every MC driver — the
-/// `UncertaintyEngine`'s float and quantised datapaths: runs `run_pass` once per
+/// The round-major Monte-Carlo harness: runs `run_pass` once per
 /// sample with the sample's stream pinned via [`Layer::begin_mc_sample`]
 /// (stream `stream_base + s` for sample `s`), writing each pass's output
 /// into `out[s * pass_len .. (s + 1) * pass_len]` in sample order.
@@ -424,7 +398,7 @@ pub type FusedRunner<'a, E> =
 /// `(S·B)`-row forward per layer, writing all S samples' outputs into
 /// `out` itself (sample `s`'s pass occupying
 /// `out[s * pass_len .. (s + 1) * pass_len]`, exactly the slab layout
-/// [`mc_sample_rounds_into`] produces, so [`mean_over_samples`] applies
+/// [`mc_sample_rounds_into`] produces, so the caller's reduction applies
 /// unchanged).
 ///
 /// Byte identity with the round-major harness is a layer contract:
@@ -515,6 +489,21 @@ mod tests {
         (slab, pass_len)
     }
 
+    /// The mean distribution over a sample slab of `pass_len`-long passes.
+    fn mean_of(slab: &[f32], pass_len: usize) -> Vec<f32> {
+        let samples = slab.len() / pass_len;
+        let mut mean = vec![0.0f32; pass_len];
+        for pass in slab.chunks_exact(pass_len) {
+            for (m, &p) in mean.iter_mut().zip(pass) {
+                *m += p;
+            }
+        }
+        for m in &mut mean {
+            *m /= samples as f32;
+        }
+        mean
+    }
+
     fn stochastic_net(kind: DropoutKind, seed: u64) -> Sequential {
         let mut rng = Rng64::new(seed);
         let mut net = Sequential::new();
@@ -548,8 +537,7 @@ mod tests {
         let x = Tensor::rand_normal(Shape::d4(6, 1, 4, 4), 0.0, 1.0, &mut rng);
         let mut ws = Workspace::new();
         let (slab, pass_len) = mc_slab(&mut net, &x, 5, 3, 1, &mut ws);
-        let mut mean = vec![0.0f32; pass_len];
-        mean_over_samples(&slab, 5, &mut mean);
+        let mean = mean_of(&slab, pass_len);
         for i in 0..6 {
             let s: f32 = mean[i * 4..(i + 1) * 4].iter().sum();
             assert!((s - 1.0).abs() < 1e-5, "row {i} sums to {s}");
@@ -587,8 +575,7 @@ mod tests {
         let x = Tensor::rand_normal(Shape::d4(16, 1, 4, 4), 0.0, 1.0, &mut rng);
         let mut ws = Workspace::new();
         let (slab, pass_len) = mc_slab(&mut net, &x, 8, 8, 1, &mut ws);
-        let mut mean = vec![0.0f32; pass_len];
-        mean_over_samples(&slab, 8, &mut mean);
+        let mean = mean_of(&slab, pass_len);
         let mean_entropy: f64 = (0..16)
             .map(|i| entropy_nats(&mean[i * 4..(i + 1) * 4]))
             .sum::<f64>()
@@ -761,13 +748,6 @@ mod tests {
             &mut out,
             &|_, _| Ok(Tensor::zeros(Shape::d1(0))),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "sample count must be positive")]
-    fn zero_samples_panics_in_the_mean_reduction() {
-        let mut out = [0.0f32; 4];
-        mean_over_samples(&[], 0, &mut out);
     }
 
     #[test]

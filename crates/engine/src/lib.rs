@@ -9,19 +9,22 @@
 //! ([`nds_dropout::mc::McCloneCache`]), and serves typed
 //! [`PredictRequest`] → [`PredictResponse`] calls over three backends:
 //!
-//! | Backend | Datapath | Per pass |
-//! |---------|----------|----------|
-//! | [`Backend::Float32`] | full-precision float | `predict_probs_ws` |
-//! | [`Backend::Quantized`] | fake-quantised fixed point | [`quantized::quantized_predict_probs_ws`] |
-//! | [`Backend::HwSim`] | fixed point + modelled hardware timing | [`quantized::quantized_predict_probs_ws`] |
+//! | Backend | Datapath | Activation tap |
+//! |---------|----------|----------------|
+//! | [`Backend::Float32`] | full-precision float | none |
+//! | [`Backend::Quantized`] | fake-quantised fixed point | `quantized::quantize_activation` |
+//! | [`Backend::HwSim`] | fixed point + modelled hardware timing | `quantized::quantize_activation` |
 //!
-//! All three route through the *same* Monte-Carlo round harness
-//! ([`nds_dropout::mc::mc_sample_rounds_into`]), so the determinism
-//! guarantees are shared: every sample's dropout masks derive only from
-//! `(seed, sample index)`, results are **bit-identical** for any worker
-//! count, any chunk size, and identical to the legacy free functions
-//! (`mc_predict`, `quantized_mc_predict`, now removed) the engine
-//! superseded.
+//! All three run through *one* request driver. A backend only picks the
+//! activation tap; the execution order picks the walker: the tapped
+//! round-major walker (`predict_probs_tapped_ws`) on the round harness
+//! ([`nds_dropout::mc::mc_sample_rounds_into`]), or the fused
+//! sample-major walker (`predict_probs_fused_into_ws`) on the fused
+//! harness ([`nds_dropout::mc::mc_sample_rounds_fused_into`]). Both
+//! walkers quantise and inject faults at the same points, so the
+//! determinism guarantees are shared: every sample's dropout masks derive
+//! only from `(seed, sample index)`, and results are **bit-identical**
+//! for any worker count, any chunk size and either order.
 //!
 //! # Execution model
 //!
@@ -109,14 +112,13 @@
 pub mod quantized;
 
 use nds_adaptive::exits::predict_probs_exits_ws;
-use nds_adaptive::{escalation_mask, AdaptiveError, AdaptivePolicy};
-use nds_dropout::mc::{
-    mc_sample_rounds_fused_into, mc_sample_rounds_into, mean_over_samples, McCloneCache,
-};
+use nds_adaptive::{escalation_mask, AdaptiveError, AdaptivePolicy, EscalationPolicy};
+use nds_dropout::mc::{mc_sample_rounds_fused_into, mc_sample_rounds_into, McCloneCache};
 use nds_metrics::entropy_nats;
 use nds_nn::layers::Sequential;
 use nds_nn::train::{
-    output_classes, predict_probs_fused_into_ws, predict_probs_gathered_ws, predict_probs_ws,
+    output_classes, predict_probs_fused_into_ws, predict_probs_gathered_ws,
+    predict_probs_tapped_ws, ActivationTap,
 };
 use nds_nn::{Mode, NnError};
 use nds_quant::FixedFormat;
@@ -672,72 +674,6 @@ pub struct UncertaintyEngine {
     cache: McCloneCache,
 }
 
-/// Runs the MC rounds for one request into `slab`, honouring an
-/// optional latency budget, and reports how many samples completed.
-///
-/// * **Unbudgeted** — one harness call over all S samples: the
-///   historical path, byte for byte (including its parallel fan-out).
-/// * **Budgeted** — samples run one *round* (one sample) at a time,
-///   serially; after each round the engine projects the next round's
-///   cost from the **most recent round's measured cost** and stops
-///   early when it would bust the budget. (The lifetime average would
-///   let a slow first round — worker-clone cache population — inflate
-///   every later projection and stop a warm engine earlier than the
-///   budget requires.) At least one round always completes. Because round `s`
-///   pins stream `seed + s` exactly as the unbudgeted harness would,
-///   every completed round is byte-identical to the corresponding
-///   sample of an unbudgeted call — degradation changes *how many*
-///   samples are averaged, never their bytes.
-#[allow(clippy::too_many_arguments)]
-fn serve_rounds(
-    net: &mut Sequential,
-    samples: usize,
-    workers: usize,
-    seed: u64,
-    cache: &mut McCloneCache,
-    ws: &mut Workspace,
-    pass_len: usize,
-    slab: &mut [f32],
-    budget_ms: Option<f64>,
-    started: Instant,
-    run_pass: &(dyn Fn(&mut Sequential, &mut Workspace) -> std::result::Result<Tensor, NnError>
-          + Sync),
-) -> std::result::Result<usize, NnError> {
-    let budget = match budget_ms {
-        // An empty pass has nothing to degrade — serve it whole.
-        Some(b) if pass_len > 0 && samples > 1 => b,
-        _ => {
-            mc_sample_rounds_into(
-                net, samples, workers, seed, cache, ws, pass_len, slab, run_pass,
-            )?;
-            return Ok(samples);
-        }
-    };
-    let mut achieved = 0;
-    let mut prev_elapsed_ms = 0.0f64;
-    for s in 0..samples {
-        mc_sample_rounds_into(
-            net,
-            1,
-            1,
-            seed.wrapping_add(s as u64),
-            cache,
-            ws,
-            pass_len,
-            &mut slab[s * pass_len..(s + 1) * pass_len],
-            run_pass,
-        )?;
-        achieved = s + 1;
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        let last_round_ms = elapsed_ms - prev_elapsed_ms;
-        prev_elapsed_ms = elapsed_ms;
-        if achieved < samples && project_next_round_ms(elapsed_ms, last_round_ms) > budget {
-            break;
-        }
-    }
-    Ok(achieved)
-}
-
 /// Deadline projection for the budgeted round loop: the expected total
 /// elapsed time if one more round runs, estimated from the **most
 /// recent** round's measured cost. The lifetime average is deliberately
@@ -768,26 +704,393 @@ fn shape_with_rows(shape: &Shape, rows: usize) -> Result<Shape> {
     }
 }
 
-/// Row `r`'s probabilities for sample `s` in the adaptive layout: pilot
-/// samples live in the full-batch pilot slab, escalated samples in the
-/// compacted escalation slab at the row's gather `rank`.
-#[allow(clippy::too_many_arguments)]
-fn adaptive_row<'a>(
-    slab: &'a [f32],
-    esc_slab: &'a [f32],
-    pilot: usize,
-    pass_len: usize,
-    esc_stride: usize,
+/// Calls `walk` with the quantise tap of `format`, or with no tap on the
+/// float datapath — the one place a pass picks its tap.
+fn with_tap<R>(
+    format: Option<FixedFormat>,
+    walk: impl FnOnce(Option<ActivationTap<'_>>) -> R,
+) -> R {
+    match format {
+        None => walk(None),
+        Some(format) => walk(Some(&mut |t: Tensor, _: &mut Workspace| {
+            Ok(quantized::quantize_activation(t, format))
+        })),
+    }
+}
+
+/// What one MC pass of a request walks.
+enum Walker<'a> {
+    /// The whole batch through the standard walkers: one fused
+    /// sample-major pass for all samples when `fused`, else one
+    /// round-major pass per sample; fixed point through the quantise tap
+    /// when `format` is set.
+    Batch {
+        images: &'a Tensor,
+        chunk: usize,
+        format: Option<FixedFormat>,
+        fused: bool,
+    },
+    /// The whole batch through the exit-head walker (round-major,
+    /// float), tallying which exit served each `(pass, row)` in `hist`.
+    Exits {
+        images: &'a Tensor,
+        thresholds: &'a [f64],
+        hist: Mutex<Vec<usize>>,
+    },
+    /// The escalated rows, gathered into `compact`, through the gathered
+    /// walker (`kept` holds their batch indices).
+    Gathered {
+        compact: &'a Tensor,
+        kept: &'a [usize],
+    },
+}
+
+impl Walker<'_> {
+    /// Clears per-attempt state, so a retried stage counts only its own
+    /// passes.
+    fn reset(&self) {
+        if let Walker::Exits { hist, .. } = self {
+            hist.lock().unwrap_or_else(|p| p.into_inner()).fill(0);
+        }
+    }
+}
+
+/// Where a request's MC samples live once its stages have run.
+struct SampleSlabs<'a> {
+    /// First stage: `rounds` passes over the whole batch, pass `s`
+    /// holding row `r` at `s * n * classes + r * classes`.
+    first: &'a [f32],
+    rounds: usize,
+    /// Escalation stage: samples `rounds..total` of the `kept` rows
+    /// (ascending batch indices), compacted — pass `s - rounds` holds
+    /// `kept[k]` at `(s - rounds) * kept.len() * classes + k * classes`.
+    esc: &'a [f32],
+    kept: &'a [usize],
+    total: usize,
+    n: usize,
     classes: usize,
-    s: usize,
-    r: usize,
-    rank: usize,
-) -> &'a [f32] {
-    if s < pilot {
-        &slab[s * pass_len + r * classes..s * pass_len + (r + 1) * classes]
-    } else {
-        let base = (s - pilot) * esc_stride + rank * classes;
-        &esc_slab[base..base + classes]
+}
+
+impl SampleSlabs<'_> {
+    /// How many samples row `r` averages.
+    fn count(&self, r: usize) -> usize {
+        if self.kept.binary_search(&r).is_ok() {
+            self.total
+        } else {
+            self.rounds
+        }
+    }
+
+    /// Row `r`'s probabilities in sample `s`.
+    fn row(&self, s: usize, r: usize) -> &[f32] {
+        let c = self.classes;
+        let (slab, base) = if s < self.rounds {
+            (self.first, s * self.n * c + r * c)
+        } else {
+            let rank = self.kept.partition_point(|&k| k < r);
+            (self.esc, (s - self.rounds) * self.kept.len() * c + rank * c)
+        };
+        &slab[base..base + c]
+    }
+
+    /// The one per-row reduction: each row's mean over its own samples
+    /// (an f32 sum in ascending sample order, then one scale) and the
+    /// requested f64 diagnostics. With one stage this is a plain S-sample
+    /// mean; escalated rows average their pilot and escalated samples
+    /// with exactly the same arithmetic, so escalate-all and keep-all
+    /// batches reproduce full-S and pilot-only responses byte for byte.
+    /// Every buffer comes from `ws`.
+    fn reduce(&self, outputs: UncertaintyFlags, ws: &mut Workspace) -> Reduced {
+        let classes = self.classes;
+        let mut mean = ws.take(self.n * classes);
+        let mut entropy = outputs
+            .contains(UncertaintyFlags::ENTROPY)
+            .then(|| ws.take_f64());
+        let mut mutual_information = outputs
+            .contains(UncertaintyFlags::MUTUAL_INFORMATION)
+            .then(|| ws.take_f64());
+        let mut variance = outputs
+            .contains(UncertaintyFlags::VARIANCE)
+            .then(|| ws.take_f64());
+        for (r, m) in mean.chunks_exact_mut(classes).enumerate() {
+            let count = self.count(r);
+            for s in 0..count {
+                for (m, &p) in m.iter_mut().zip(self.row(s, r)) {
+                    *m += p;
+                }
+            }
+            let inv = 1.0 / count as f32;
+            for m in m.iter_mut() {
+                *m *= inv;
+            }
+            if let Some(out) = entropy.as_mut() {
+                out.push(entropy_nats(m));
+            }
+            if let Some(out) = mutual_information.as_mut() {
+                let total = entropy_nats(m);
+                let aleatoric: f64 = (0..count)
+                    .map(|s| entropy_nats(self.row(s, r)))
+                    .sum::<f64>()
+                    / count as f64;
+                out.push((total - aleatoric).max(0.0));
+            }
+            if let Some(out) = variance.as_mut() {
+                let mut var = 0.0f64;
+                for (j, &mj) in m.iter().enumerate() {
+                    let mj = mj as f64;
+                    for s in 0..count {
+                        let d = self.row(s, r)[j] as f64 - mj;
+                        var += d * d;
+                    }
+                }
+                out.push(var / (count as f64 * classes as f64));
+            }
+        }
+        Reduced {
+            mean,
+            entropy,
+            mutual_information,
+            variance,
+        }
+    }
+}
+
+/// The mean distribution and diagnostics [`SampleSlabs::reduce`] returns.
+struct Reduced {
+    mean: Vec<f32>,
+    entropy: Option<Vec<f64>>,
+    mutual_information: Option<Vec<f64>>,
+    variance: Option<Vec<f64>>,
+}
+
+/// One validated request, as the driver runs it.
+struct Plan<'a> {
+    images: &'a Tensor,
+    n: usize,
+    classes: usize,
+    /// The configured S.
+    samples: usize,
+    /// First-stage samples: S, or the pilot count under escalation.
+    rounds: usize,
+    /// The escalation gate, when it runs this request.
+    escalation: Option<EscalationPolicy>,
+    /// The latency budget, when the request can degrade.
+    budget_ms: Option<f64>,
+    /// What the first stage walks.
+    walker: Walker<'a>,
+}
+
+/// The engine state one request drives, borrowed apart so the walkers can
+/// run while the harness holds the net, cache and workspace.
+struct Driver<'e> {
+    net: &'e mut Sequential,
+    cache: &'e mut McCloneCache,
+    ws: &'e mut Workspace,
+    retries: usize,
+    workers: usize,
+    seed: u64,
+    started: Instant,
+}
+
+impl Driver<'_> {
+    /// The one pass selector: runs samples `first .. first + samples`
+    /// (streams `seed + first ..`) through `walker` into `slab` — one
+    /// pass per sample on the round harness, split over `workers`, or one
+    /// fused pass for all of them on the sample-major harness.
+    fn run_samples(
+        &mut self,
+        walker: &Walker<'_>,
+        first: usize,
+        samples: usize,
+        workers: usize,
+        slab: &mut [f32],
+    ) -> std::result::Result<(), NnError> {
+        let seed = self.seed.wrapping_add(first as u64);
+        if let Walker::Batch {
+            images,
+            chunk,
+            format,
+            fused: true,
+        } = *walker
+        {
+            // The whole round is ONE fused pass, so an injected pass
+            // delay fires once per round, not once per sample.
+            return mc_sample_rounds_fused_into(
+                self.net,
+                samples,
+                seed,
+                self.ws,
+                slab,
+                &|net, ws, out| {
+                    nds_fault::pass_delay();
+                    with_tap(format, |tap| {
+                        predict_probs_fused_into_ws(net, images, samples, chunk, ws, out, tap)
+                    })
+                },
+            );
+        }
+        let pass_len = slab.len() / samples;
+        mc_sample_rounds_into(
+            self.net,
+            samples,
+            workers,
+            seed,
+            self.cache,
+            self.ws,
+            pass_len,
+            slab,
+            &|net, ws| {
+                nds_fault::pass_delay();
+                match walker {
+                    Walker::Batch {
+                        images,
+                        chunk,
+                        format,
+                        ..
+                    } => with_tap(*format, |tap| {
+                        predict_probs_tapped_ws(net, images, Mode::McInference, *chunk, ws, tap)
+                    }),
+                    Walker::Exits {
+                        images,
+                        thresholds,
+                        hist,
+                    } => {
+                        let mut exit_of = vec![0usize; images.shape().dim(0)];
+                        let probs = predict_probs_exits_ws(
+                            net,
+                            images,
+                            Mode::McInference,
+                            thresholds,
+                            ws,
+                            &mut exit_of,
+                        )
+                        .map_err(adaptive_to_nn)?;
+                        let mut hist = hist.lock().unwrap_or_else(|p| p.into_inner());
+                        for &e in &exit_of {
+                            hist[e.min(thresholds.len())] += 1;
+                        }
+                        Ok(probs)
+                    }
+                    Walker::Gathered { compact, kept } => {
+                        predict_probs_gathered_ws(net, compact, kept, ws)
+                    }
+                }
+            },
+        )
+    }
+
+    /// The one retry-and-scan wrapper every stage runs through: runs
+    /// samples `first ..` of `walker` into `slab` and returns how many
+    /// completed.
+    ///
+    /// * **Retry.** A transient fault (a pool-task death) reruns the
+    ///   stage up to the engine's `transient_retries`, each attempt from
+    ///   fresh state: the worker clones are rebuilt (a dead worker may
+    ///   have left them half-advanced) and the walker's tallies cleared.
+    ///   Masks depend only on `(seed, sample index)`, so a retried stage
+    ///   is byte-identical to one that never faulted.
+    /// * **Budget.** With `budget_ms`, samples run one round at a time,
+    ///   serially; after each round the engine projects the next round's
+    ///   cost from the most recent round ([`project_next_round_ms`]) and
+    ///   stops early when it would bust the budget. At least one round
+    ///   always completes, and round `s` pins stream `seed + s` exactly
+    ///   as the unbudgeted harness would, so degradation changes *how
+    ///   many* samples are averaged, never their bytes.
+    /// * **Scan.** A non-finite probability means a datapath fault
+    ///   corrupted a pass: the stage fails with
+    ///   [`EngineError::NonFiniteOutput`] rather than launder the
+    ///   corruption into the mean and its diagnostics.
+    fn run_stage(
+        &mut self,
+        walker: &Walker<'_>,
+        first: usize,
+        samples: usize,
+        budget_ms: Option<f64>,
+        slab: &mut [f32],
+    ) -> Result<usize> {
+        let stride = slab.len() / samples;
+        let policy = nds_tensor::parallel::RetryPolicy::with_retries(self.retries);
+        let achieved = nds_tensor::parallel::retry_transient(
+            policy,
+            |e: &NnError| matches!(e, NnError::Pool(_)),
+            |attempt| {
+                if attempt > 0 {
+                    self.cache.invalidate();
+                }
+                walker.reset();
+                let Some(budget) = budget_ms else {
+                    let workers = self.workers;
+                    self.run_samples(walker, first, samples, workers, slab)?;
+                    return Ok(samples);
+                };
+                let mut prev_elapsed_ms = 0.0f64;
+                for s in 0..samples {
+                    let pass = &mut slab[s * stride..(s + 1) * stride];
+                    self.run_samples(walker, first + s, 1, 1, pass)?;
+                    let elapsed_ms = self.started.elapsed().as_secs_f64() * 1e3;
+                    let last_round_ms = elapsed_ms - prev_elapsed_ms;
+                    prev_elapsed_ms = elapsed_ms;
+                    if s + 1 < samples && project_next_round_ms(elapsed_ms, last_round_ms) > budget
+                    {
+                        return Ok(s + 1);
+                    }
+                }
+                Ok(samples)
+            },
+        )?;
+        if stride > 0 {
+            if let Some(pos) = slab[..achieved * stride]
+                .iter()
+                .position(|v| !v.is_finite())
+            {
+                return Err(EngineError::NonFiniteOutput {
+                    sample: first + pos / stride,
+                });
+            }
+        }
+        Ok(achieved)
+    }
+
+    /// Runs a request's sample stages: `plan.rounds` samples over the
+    /// whole batch into `first`, then, under an escalation gate, samples
+    /// `rounds .. S` of the rows that fail it into `esc`, gathered into
+    /// one compact batch. Returns the first stage's completed rounds and
+    /// the escalated rows' batch indices.
+    fn run_stages(
+        &mut self,
+        plan: &Plan<'_>,
+        first: &mut [f32],
+        esc: &mut Vec<f32>,
+    ) -> Result<(usize, Vec<usize>)> {
+        let achieved = self.run_stage(&plan.walker, 0, plan.rounds, plan.budget_ms, first)?;
+        let Some(policy) = plan.escalation else {
+            return Ok((achieved, Vec::new()));
+        };
+        let (images, n, classes) = (plan.images, plan.n, plan.classes);
+        let mut mask = vec![false; n];
+        escalation_mask(first, plan.rounds, n, classes, &policy, &mut mask);
+        let kept: Vec<usize> = (0..n).filter(|&r| mask[r]).collect();
+        if kept.is_empty() {
+            return Ok((achieved, kept));
+        }
+        let shape = shape_with_rows(images.shape(), kept.len())?;
+        let per_row = images.len() / n;
+        let mut data = self.ws.take_dirty(kept.len() * per_row);
+        for (k, &r) in kept.iter().enumerate() {
+            data[k * per_row..(k + 1) * per_row]
+                .copy_from_slice(&images.as_slice()[r * per_row..(r + 1) * per_row]);
+        }
+        let compact = Tensor::from_vec(data, shape)?;
+        let esc_rounds = plan.samples - plan.rounds;
+        *esc = self.ws.take_dirty(esc_rounds * kept.len() * classes);
+        let walker = Walker::Gathered {
+            compact: &compact,
+            kept: &kept,
+        };
+        let outcome = self.run_stage(&walker, plan.rounds, esc_rounds, None, esc);
+        self.ws.recycle_tensor(compact);
+        outcome?;
+        Ok((achieved, kept))
     }
 }
 
@@ -801,6 +1104,18 @@ impl UncertaintyEngine {
     /// worker count, chunk size, pool size or what ran before. A
     /// latency budget can reduce the number of samples averaged, but
     /// every sample that *is* averaged keeps its unbudgeted bytes.
+    ///
+    /// One driver serves every path. The first stage runs S samples over
+    /// the whole batch — round-major, sample-major, or round by round
+    /// under a latency budget. Under an adaptive policy it runs the pilot
+    /// samples instead (through the exit-head walker when exits are
+    /// configured), and a second stage runs the remaining samples on the
+    /// rows the gate escalates. Pilot sample `s` **is** sample `s` of a
+    /// full-S run, and escalated samples replay streams `seed + pilot ..
+    /// seed + S` with skipped rows' mask draws burned
+    /// (`Layer::forward_mc_gathered`), so an escalated row's mean is
+    /// byte-identical to the full engine's mean for that row. One per-row
+    /// reduction then averages each row over its own samples.
     ///
     /// # Errors
     ///
@@ -853,6 +1168,7 @@ impl UncertaintyEngine {
             self.workers
         };
         let pass_len = n * classes;
+        let mut gated = false;
         if self.adaptive.enabled() {
             // A malformed policy is a reject even when the adaptive path
             // does not run this request (budget present, empty batch).
@@ -862,532 +1178,114 @@ impl UncertaintyEngine {
             // A latency budget wins over adaptive gating: deadline
             // degradation is round-granular and already byte-preserving,
             // and mixing the two would make `achieved_samples` ambiguous.
-            if request.latency_budget_ms.is_none() && pass_len > 0 {
-                if self.backend != Backend::Float32 {
-                    return Err(EngineError::BadRequest(format!(
-                        "adaptive policy requires the float32 backend, engine uses {}",
-                        self.backend.label()
-                    )));
-                }
-                let escalates = self
-                    .adaptive
-                    .escalation
-                    .is_some_and(|e| e.pilot < self.samples);
-                if escalates || self.adaptive.exits.is_some() {
-                    return self.predict_adaptive(request, started, n, classes, workers, chunk);
-                }
-                // Escalation with pilot >= S is inert: the full-S path
-                // below already serves exactly what it asks for.
+            gated = request.latency_budget_ms.is_none() && pass_len > 0;
+            if gated && self.backend != Backend::Float32 {
+                return Err(EngineError::BadRequest(format!(
+                    "adaptive policy requires the float32 backend, engine uses {}",
+                    self.backend.label()
+                )));
             }
         }
-        let mut slab = self.ws.take_dirty(samples * pass_len);
-        // Split the engine's fields so the pass closure (which reads the
-        // backend) can run while the harness holds the net/cache/ws.
-        let UncertaintyEngine {
-            ref mut net,
-            ref backend,
-            ref mut ws,
-            ref mut cache,
-            seed,
-            transient_retries,
-            execution,
-            ..
-        } = *self;
-        let budget_ms = request.latency_budget_ms;
-        // The fused order is all-or-nothing, so a budgeted request that
-        // could actually degrade (a non-empty pass with S > 1 rounds to
-        // drop) falls back to round-major execution — degradation is
-        // inherently round-granular.
-        let fused = execution == Execution::SampleMajor
-            && !(budget_ms.is_some() && pass_len > 0 && samples > 1);
-        let policy = nds_tensor::parallel::RetryPolicy::with_retries(transient_retries);
-        let outcome = nds_tensor::parallel::retry_transient(
-            policy,
-            |e: &NnError| matches!(e, NnError::Pool(_)),
-            |attempt| {
-                if attempt > 0 {
-                    // A worker died mid-round: the cached clones may
-                    // hold half-advanced stochastic state. Rebuild them
-                    // so the retry reproduces a clean round.
-                    cache.invalidate();
-                }
-                if fused {
-                    // Sample-major: the whole round is ONE fused pass,
-                    // so an injected pass delay fires once per round
-                    // (not once per sample) — the fused pass is the
-                    // schedulable unit.
-                    return match backend.format() {
-                        None => mc_sample_rounds_fused_into(
-                            net,
-                            samples,
-                            seed,
-                            ws,
-                            &mut slab,
-                            &|net, ws, out| {
-                                nds_fault::pass_delay();
-                                predict_probs_fused_into_ws(
-                                    net, images, samples, chunk, ws, out, None,
-                                )
-                            },
-                        ),
-                        Some(format) => mc_sample_rounds_fused_into(
-                            net,
-                            samples,
-                            seed,
-                            ws,
-                            &mut slab,
-                            &|net, ws, out| {
-                                nds_fault::pass_delay();
-                                let mut tap =
-                                    |t: Tensor, ws: &mut Workspace| -> nds_nn::Result<Tensor> {
-                                        let q = quantized::quantize_copy(&t, format, ws);
-                                        ws.recycle_tensor(t);
-                                        Ok(q)
-                                    };
-                                predict_probs_fused_into_ws(
-                                    net,
-                                    images,
-                                    samples,
-                                    chunk,
-                                    ws,
-                                    out,
-                                    Some(&mut tap),
-                                )
-                            },
-                        ),
-                    }
-                    .map(|()| samples);
-                }
-                match backend.format() {
-                    None => serve_rounds(
-                        net,
-                        samples,
-                        workers,
-                        seed,
-                        cache,
-                        ws,
-                        pass_len,
-                        &mut slab,
-                        budget_ms,
-                        started,
-                        &|net, ws| {
-                            nds_fault::pass_delay();
-                            predict_probs_ws(net, images, Mode::McInference, chunk, ws)
-                        },
-                    ),
-                    Some(format) => serve_rounds(
-                        net,
-                        samples,
-                        workers,
-                        seed,
-                        cache,
-                        ws,
-                        pass_len,
-                        &mut slab,
-                        budget_ms,
-                        started,
-                        &|net, ws| {
-                            nds_fault::pass_delay();
-                            quantized::quantized_predict_probs_ws(
-                                net,
-                                images,
-                                format,
-                                Mode::McInference,
-                                chunk,
-                                ws,
-                            )
-                        },
-                    ),
-                }
+        // Escalation with pilot >= S is inert: the full-S stage already
+        // serves exactly what it asks for.
+        let escalation = self
+            .adaptive
+            .escalation
+            .filter(|e| gated && e.pilot < samples);
+        let thresholds = self
+            .adaptive
+            .exits
+            .as_ref()
+            .filter(|_| gated)
+            .map(|e| &e.thresholds[..]);
+        // Only a non-empty pass with rounds to drop can degrade. The
+        // fused order is all-or-nothing, so such a request runs
+        // round-major: degradation is inherently round-granular.
+        let budget_ms = request
+            .latency_budget_ms
+            .filter(|_| pass_len > 0 && samples > 1);
+        let plan = Plan {
+            images,
+            n,
+            classes,
+            samples,
+            rounds: escalation.map_or(samples, |e| e.pilot),
+            escalation,
+            budget_ms,
+            walker: match thresholds {
+                Some(thresholds) => Walker::Exits {
+                    images,
+                    thresholds,
+                    hist: Mutex::new(vec![0; thresholds.len() + 1]),
+                },
+                None => Walker::Batch {
+                    images,
+                    chunk,
+                    format: self.backend.format(),
+                    fused: self.execution == Execution::SampleMajor && budget_ms.is_none(),
+                },
             },
-        );
-        let achieved = match outcome {
-            Ok(achieved) => achieved,
+        };
+        let mut driver = Driver {
+            net: &mut self.net,
+            cache: &mut self.cache,
+            ws: &mut self.ws,
+            retries: self.transient_retries,
+            workers,
+            seed: self.seed,
+            started,
+        };
+        let mut first = driver.ws.take_dirty(plan.rounds * pass_len);
+        let mut esc = Vec::new();
+        let (achieved, kept) = match driver.run_stages(&plan, &mut first, &mut esc) {
+            Ok(staged) => staged,
             Err(e) => {
-                self.ws.recycle(slab);
-                return Err(e.into());
+                driver.ws.recycle(first);
+                driver.ws.recycle(esc);
+                return Err(e);
             }
         };
-        // Serve no NaNs: a non-finite probability means a datapath
-        // fault corrupted the round — fail the request rather than
-        // launder the corruption into the mean and its diagnostics.
-        if pass_len > 0 {
-            if let Some(pos) = slab[..achieved * pass_len]
-                .iter()
-                .position(|v| !v.is_finite())
-            {
-                let sample = pos / pass_len;
-                self.ws.recycle(slab);
-                return Err(EngineError::NonFiniteOutput { sample });
+        let slabs = SampleSlabs {
+            first: &first[..achieved * pass_len],
+            rounds: achieved,
+            esc: &esc,
+            kept: &kept,
+            total: samples,
+            n,
+            classes,
+        };
+        let reduced = slabs.reduce(request.outputs, driver.ws);
+        let row_samples = escalation.map(|_| (0..n).map(|r| slabs.count(r)).collect());
+        driver.ws.recycle(first);
+        driver.ws.recycle(esc);
+        let achieved_samples = if kept.is_empty() { achieved } else { samples };
+        let exit_histogram = match plan.walker {
+            Walker::Exits { hist, .. } => {
+                Some(hist.into_inner().unwrap_or_else(|p| p.into_inner()))
             }
-        }
-        let mut mean = self.ws.take(pass_len);
-        mean_over_samples(&slab[..achieved * pass_len], achieved, &mut mean);
-        let entropy = request
-            .outputs
-            .contains(UncertaintyFlags::ENTROPY)
-            .then(|| {
-                let mut out = self.ws.take_f64();
-                for i in 0..n {
-                    out.push(entropy_nats(&mean[i * classes..(i + 1) * classes]));
-                }
-                out
-            });
-        let mutual_information = request
-            .outputs
-            .contains(UncertaintyFlags::MUTUAL_INFORMATION)
-            .then(|| {
-                let mut out = self.ws.take_f64();
-                for i in 0..n {
-                    let total = entropy_nats(&mean[i * classes..(i + 1) * classes]);
-                    let aleatoric: f64 = (0..achieved)
-                        .map(|s| {
-                            let row = &slab[s * pass_len + i * classes..];
-                            entropy_nats(&row[..classes])
-                        })
-                        .sum::<f64>()
-                        / achieved as f64;
-                    out.push((total - aleatoric).max(0.0));
-                }
-                out
-            });
-        let variance = request
-            .outputs
-            .contains(UncertaintyFlags::VARIANCE)
-            .then(|| {
-                let mut out = self.ws.take_f64();
-                for i in 0..n {
-                    let mut var = 0.0f64;
-                    for j in 0..classes {
-                        let m = mean[i * classes + j] as f64;
-                        for s in 0..achieved {
-                            let d = slab[s * pass_len + i * classes + j] as f64 - m;
-                            var += d * d;
-                        }
-                    }
-                    out.push(var / (achieved as f64 * classes as f64));
-                }
-                out
-            });
-        self.ws.recycle(slab);
-        let probs = Tensor::from_vec(mean, Shape::d2(n, classes))?;
+            _ => None,
+        };
         let modelled_latency_ms = match &self.backend {
             Backend::HwSim(platform) => Some(platform.latency_ms_per_image * n as f64),
             _ => None,
         };
         Ok(PredictResponse {
-            probs,
-            entropy,
-            mutual_information,
-            variance,
-            achieved_samples: achieved,
-            degraded: achieved < samples,
-            row_samples: None,
-            exit_histogram: None,
+            probs: Tensor::from_vec(reduced.mean, Shape::d2(n, classes))?,
+            entropy: reduced.entropy,
+            mutual_information: reduced.mutual_information,
+            variance: reduced.variance,
+            achieved_samples,
+            degraded: achieved < plan.rounds,
+            row_samples,
+            exit_histogram,
             timing: PredictTiming {
                 backend: self.backend.label(),
-                samples: achieved,
+                samples: achieved_samples,
                 workers,
                 chunk_size: chunk,
                 chunks: if n == 0 { 0 } else { n.div_ceil(chunk.max(1)) },
                 elapsed_s: started.elapsed().as_secs_f64(),
                 modelled_latency_ms,
-            },
-        })
-    }
-
-    /// The adaptive serving path ([`EngineBuilder::adaptive`]): pilot
-    /// rounds for every row, a confidence gate, then gathered escalation
-    /// rounds for the rows that failed it; exit heads, when configured,
-    /// serve confident rows mid-network during every pass.
-    ///
-    /// Byte contract: pilot sample `s` **is** sample `s` of a full-S run
-    /// (same stream base and same walkers), and escalated rows' extra
-    /// samples replay streams `seed + pilot .. seed + S` with skipped
-    /// rows' per-item mask draws burned (`Layer::forward_mc_gathered`),
-    /// so an escalated row's mean is byte-identical to the full engine's
-    /// mean for that row. Only the *set of samples averaged per row*
-    /// changes — never any sample's bytes.
-    fn predict_adaptive(
-        &mut self,
-        request: &PredictRequest<'_>,
-        started: Instant,
-        n: usize,
-        classes: usize,
-        workers: usize,
-        chunk: usize,
-    ) -> Result<PredictResponse> {
-        let images = request.images;
-        let policy = self.adaptive.clone();
-        let UncertaintyEngine {
-            ref mut net,
-            ref backend,
-            ref mut ws,
-            ref mut cache,
-            seed,
-            transient_retries,
-            execution,
-            samples,
-            ..
-        } = *self;
-        let pass_len = n * classes;
-        let escalation = policy.escalation.filter(|e| e.pilot < samples);
-        let pilot = escalation.map_or(samples, |e| e.pilot);
-        let exit_thresholds = policy.exits.map(|e| e.thresholds);
-        let exit_hist = Mutex::new(exit_thresholds.as_ref().map(|t| vec![0usize; t.len() + 1]));
-        let retry = nds_tensor::parallel::RetryPolicy::with_retries(transient_retries);
-        let transient = |e: &NnError| matches!(e, NnError::Pool(_));
-
-        // Stage 1 — pilot rounds over the whole batch, streams
-        // `seed .. seed + pilot`: exactly the first `pilot` samples of a
-        // full run, via the same walkers the standard path uses (fused
-        // sample-major reuses the mask banks when the engine is
-        // configured for it; the exit walker is round-granular).
-        let mut slab = ws.take_dirty(pilot * pass_len);
-        let outcome = nds_tensor::parallel::retry_transient(retry, transient, |attempt| {
-            if attempt > 0 {
-                cache.invalidate();
-            }
-            match &exit_thresholds {
-                None if execution == Execution::SampleMajor => {
-                    mc_sample_rounds_fused_into(net, pilot, seed, ws, &mut slab, &|net, ws, out| {
-                        nds_fault::pass_delay();
-                        predict_probs_fused_into_ws(net, images, pilot, chunk, ws, out, None)
-                    })
-                }
-                None => mc_sample_rounds_into(
-                    net,
-                    pilot,
-                    workers,
-                    seed,
-                    cache,
-                    ws,
-                    pass_len,
-                    &mut slab,
-                    &|net, ws| {
-                        nds_fault::pass_delay();
-                        predict_probs_ws(net, images, Mode::McInference, chunk, ws)
-                    },
-                ),
-                Some(thresholds) => mc_sample_rounds_into(
-                    net,
-                    pilot,
-                    workers,
-                    seed,
-                    cache,
-                    ws,
-                    pass_len,
-                    &mut slab,
-                    &|net, ws| {
-                        nds_fault::pass_delay();
-                        let mut exit_of = vec![0usize; n];
-                        let probs = predict_probs_exits_ws(
-                            net,
-                            images,
-                            Mode::McInference,
-                            thresholds,
-                            ws,
-                            &mut exit_of,
-                        )
-                        .map_err(adaptive_to_nn)?;
-                        let mut hist = exit_hist.lock().expect("exit histogram poisoned");
-                        if let Some(hist) = hist.as_mut() {
-                            for &e in &exit_of {
-                                hist[e.min(thresholds.len())] += 1;
-                            }
-                        }
-                        Ok(probs)
-                    },
-                ),
-            }
-        });
-        if let Err(e) = outcome {
-            ws.recycle(slab);
-            return Err(e.into());
-        }
-        if let Some(pos) = slab.iter().position(|v| !v.is_finite()) {
-            let sample = pos / pass_len;
-            ws.recycle(slab);
-            return Err(EngineError::NonFiniteOutput { sample });
-        }
-
-        // Stage 2 — gate, then gathered escalation rounds for the rows
-        // that failed the confidence test (streams `seed + pilot ..`).
-        let mut row_samples = vec![pilot; n];
-        let mut kept: Vec<usize> = Vec::new();
-        if let Some(esc) = escalation {
-            let mut mask = vec![false; n];
-            escalation_mask(&slab, pilot, n, classes, &esc, &mut mask);
-            kept = mask
-                .iter()
-                .enumerate()
-                .filter_map(|(r, &m)| m.then_some(r))
-                .collect();
-            for &r in &kept {
-                row_samples[r] = samples;
-            }
-        }
-        let k = kept.len();
-        let esc_rounds = samples - pilot;
-        let esc_stride = k * classes;
-        let mut esc_slab = Vec::new();
-        if k > 0 && esc_rounds > 0 {
-            let per_row = images.len() / n;
-            let compact_shape = match shape_with_rows(images.shape(), k) {
-                Ok(shape) => shape,
-                Err(e) => {
-                    ws.recycle(slab);
-                    return Err(e);
-                }
-            };
-            let mut data = ws.take_dirty(k * per_row);
-            for (i, &r) in kept.iter().enumerate() {
-                data[i * per_row..(i + 1) * per_row]
-                    .copy_from_slice(&images.as_slice()[r * per_row..(r + 1) * per_row]);
-            }
-            let compact = match Tensor::from_vec(data, compact_shape) {
-                Ok(t) => t,
-                Err(e) => {
-                    ws.recycle(slab);
-                    return Err(e.into());
-                }
-            };
-            esc_slab = ws.take_dirty(esc_rounds * esc_stride);
-            let kept_ref = &kept;
-            let outcome = nds_tensor::parallel::retry_transient(retry, transient, |attempt| {
-                if attempt > 0 {
-                    cache.invalidate();
-                }
-                mc_sample_rounds_into(
-                    net,
-                    esc_rounds,
-                    workers,
-                    seed.wrapping_add(pilot as u64),
-                    cache,
-                    ws,
-                    esc_stride,
-                    &mut esc_slab,
-                    &|net, ws| {
-                        nds_fault::pass_delay();
-                        predict_probs_gathered_ws(net, &compact, kept_ref, ws)
-                    },
-                )
-            });
-            ws.recycle_tensor(compact);
-            if let Err(e) = outcome {
-                ws.recycle(slab);
-                ws.recycle(esc_slab);
-                return Err(e.into());
-            }
-            if let Some(pos) = esc_slab.iter().position(|v| !v.is_finite()) {
-                let sample = pilot + pos / esc_stride;
-                ws.recycle(slab);
-                ws.recycle(esc_slab);
-                return Err(EngineError::NonFiniteOutput { sample });
-            }
-        }
-        let mut rank_of = vec![usize::MAX; n];
-        for (i, &r) in kept.iter().enumerate() {
-            rank_of[r] = i;
-        }
-
-        // Stage 3 — per-row mean and diagnostics over each row's own
-        // sample set, with exactly the arithmetic (f32 ascending sum,
-        // one scale; f64 diagnostics) `mean_over_samples` and the
-        // standard path apply, so unescalated and escalate-all batches
-        // reproduce pilot-only and full-S responses byte for byte.
-        let mut mean = ws.take(pass_len);
-        for r in 0..n {
-            let total = row_samples[r];
-            for s in 0..total {
-                let row = adaptive_row(
-                    &slab, &esc_slab, pilot, pass_len, esc_stride, classes, s, r, rank_of[r],
-                );
-                for (m, &p) in mean[r * classes..(r + 1) * classes].iter_mut().zip(row) {
-                    *m += p;
-                }
-            }
-            let inv = 1.0 / total as f32;
-            for m in &mut mean[r * classes..(r + 1) * classes] {
-                *m *= inv;
-            }
-        }
-        let entropy = request
-            .outputs
-            .contains(UncertaintyFlags::ENTROPY)
-            .then(|| {
-                let mut out = ws.take_f64();
-                for i in 0..n {
-                    out.push(entropy_nats(&mean[i * classes..(i + 1) * classes]));
-                }
-                out
-            });
-        let mutual_information = request
-            .outputs
-            .contains(UncertaintyFlags::MUTUAL_INFORMATION)
-            .then(|| {
-                let mut out = ws.take_f64();
-                for i in 0..n {
-                    let total = entropy_nats(&mean[i * classes..(i + 1) * classes]);
-                    let achieved = row_samples[i];
-                    let aleatoric: f64 = (0..achieved)
-                        .map(|s| {
-                            entropy_nats(adaptive_row(
-                                &slab, &esc_slab, pilot, pass_len, esc_stride, classes, s, i,
-                                rank_of[i],
-                            ))
-                        })
-                        .sum::<f64>()
-                        / achieved as f64;
-                    out.push((total - aleatoric).max(0.0));
-                }
-                out
-            });
-        let variance = request
-            .outputs
-            .contains(UncertaintyFlags::VARIANCE)
-            .then(|| {
-                let mut out = ws.take_f64();
-                for i in 0..n {
-                    let achieved = row_samples[i];
-                    let mut var = 0.0f64;
-                    for j in 0..classes {
-                        let m = mean[i * classes + j] as f64;
-                        for s in 0..achieved {
-                            let row = adaptive_row(
-                                &slab, &esc_slab, pilot, pass_len, esc_stride, classes, s, i,
-                                rank_of[i],
-                            );
-                            let d = row[j] as f64 - m;
-                            var += d * d;
-                        }
-                    }
-                    out.push(var / (achieved as f64 * classes as f64));
-                }
-                out
-            });
-        ws.recycle(slab);
-        ws.recycle(esc_slab);
-        let probs = Tensor::from_vec(mean, Shape::d2(n, classes))?;
-        let achieved = row_samples.iter().copied().max().unwrap_or(pilot);
-        let exit_histogram = exit_hist.into_inner().expect("exit histogram poisoned");
-        Ok(PredictResponse {
-            probs,
-            entropy,
-            mutual_information,
-            variance,
-            achieved_samples: achieved,
-            degraded: false,
-            row_samples: escalation.map(|_| row_samples),
-            exit_histogram,
-            timing: PredictTiming {
-                backend: backend.label(),
-                samples: achieved,
-                workers,
-                chunk_size: chunk,
-                chunks: if n == 0 { 0 } else { n.div_ceil(chunk.max(1)) },
-                elapsed_s: started.elapsed().as_secs_f64(),
-                modelled_latency_ms: None,
             },
         })
     }
@@ -1714,21 +1612,55 @@ mod tests {
         }
     }
 
+    /// Every backend the engine serves, for the byte-identity matrices.
+    fn all_backends() -> [Backend; 3] {
+        [
+            Backend::Float32,
+            Backend::quantized_q78(),
+            Backend::HwSim(SimPlatform {
+                name: "test-fpga".to_string(),
+                format: nds_quant::Q7_8,
+                latency_ms_per_image: 0.25,
+            }),
+        ]
+    }
+
+    /// Asserts two responses carry the same bytes in every field a
+    /// budget could touch.
+    fn assert_same_response(a: &PredictResponse, b: &PredictResponse, case: &str) {
+        assert_eq!(a.probs.as_slice(), b.probs.as_slice(), "{case}: probs");
+        assert_eq!(a.entropy, b.entropy, "{case}: entropy");
+        assert_eq!(a.mutual_information, b.mutual_information, "{case}: MI");
+        assert_eq!(a.variance, b.variance, "{case}: variance");
+        assert_eq!(a.row_samples, b.row_samples, "{case}: row_samples");
+        assert_eq!(a.achieved_samples, b.achieved_samples, "{case}: achieved");
+        assert_eq!(a.degraded, b.degraded, "{case}: degraded");
+    }
+
     #[test]
     fn generous_budgets_serve_all_samples_byte_identically() {
         let mut rng = Rng64::new(21);
         let x = Tensor::rand_normal(Shape::d4(3, 1, 4, 4), 0.0, 1.0, &mut rng);
-        let mut unbudgeted = EngineBuilder::new(stochastic_net(13)).samples(4).build();
-        let mut budgeted = EngineBuilder::new(stochastic_net(13)).samples(4).build();
-        let a = unbudgeted.predict(&PredictRequest::new(&x)).unwrap();
-        let b = budgeted
-            .predict(&PredictRequest::new(&x).with_latency_budget(60_000.0))
-            .unwrap();
-        assert_eq!(a.probs.as_slice(), b.probs.as_slice());
-        assert_eq!(b.achieved_samples, 4);
-        assert!(!b.degraded);
-        assert!(!a.degraded);
-        assert_eq!(a.achieved_samples, 4);
+        let req = PredictRequest::new(&x).with_outputs(UncertaintyFlags::ALL);
+        for backend in all_backends() {
+            for workers in [1usize, 3] {
+                let case = format!("{} with {workers} workers", backend.label());
+                let engine = || {
+                    EngineBuilder::new(stochastic_net(13))
+                        .backend(backend.clone())
+                        .samples(4)
+                        .workers(workers)
+                        .build()
+                };
+                let a = engine().predict(&req).unwrap();
+                let b = engine()
+                    .predict(&req.with_latency_budget(60_000.0))
+                    .unwrap();
+                assert_same_response(&a, &b, &case);
+                assert_eq!(b.achieved_samples, 4, "{case}");
+                assert!(!b.degraded, "{case}");
+            }
+        }
     }
 
     #[test]
@@ -1825,17 +1757,26 @@ mod tests {
         // them).
         let mut rng = Rng64::new(41);
         let x = Tensor::rand_normal(Shape::d4(3, 1, 4, 4), 0.0, 1.0, &mut rng);
-        let mut round = EngineBuilder::new(stochastic_net(43)).samples(4).build();
-        let mut fused = EngineBuilder::new(stochastic_net(43))
-            .samples(4)
-            .execution(Execution::SampleMajor)
-            .build();
-        let a = round.predict(&PredictRequest::new(&x)).unwrap();
-        let b = fused
-            .predict(&PredictRequest::new(&x).with_latency_budget(60_000.0))
-            .unwrap();
-        assert_eq!(a.probs.as_slice(), b.probs.as_slice());
-        assert_eq!(b.achieved_samples, 4);
+        let req = PredictRequest::new(&x).with_outputs(UncertaintyFlags::ALL);
+        for backend in all_backends() {
+            for workers in [1usize, 3] {
+                let case = format!("{} with {workers} workers", backend.label());
+                let engine = |execution| {
+                    EngineBuilder::new(stochastic_net(43))
+                        .backend(backend.clone())
+                        .samples(4)
+                        .workers(workers)
+                        .execution(execution)
+                        .build()
+                };
+                let a = engine(Execution::RoundMajor).predict(&req).unwrap();
+                let b = engine(Execution::SampleMajor)
+                    .predict(&req.with_latency_budget(60_000.0))
+                    .unwrap();
+                assert_same_response(&a, &b, &case);
+                assert_eq!(b.achieved_samples, 4, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -8,25 +8,24 @@
 //! wide and the final softmax runs at full precision on the host/output
 //! stage — the standard fake-quantisation model.
 //!
-//! These are the engine's quantized/hw-sim pass primitives; `nds-hw`'s
-//! historical `quantized_forward` delegates here so the two crates can
-//! never drift apart numerically. Every buffer rides the [`Workspace`]
-//! pool, so MC rounds over the quantised datapath reuse their scratch
-//! exactly like the float path.
+//! The rounding is one activation tap, `quantize_activation`, which
+//! the engine hands to both MC walkers (`predict_probs_tapped_ws` for
+//! round-major, `predict_probs_fused_into_ws` for sample-major), so the
+//! two execution orders quantise through one definition. `nds-hw`'s
+//! historical `quantized_forward` runs through [`quantized_forward_ws`],
+//! the same walker and tap, so the two crates can never drift apart
+//! numerically.
 
 use nds_nn::layers::Sequential;
-use nds_nn::train::{output_classes, slice_batch_ws};
+use nds_nn::train::predict_probs_tapped_ws;
 use nds_nn::{Mode, Result};
-use nds_quant::{fake_quantize_into, FixedFormat};
-use nds_tensor::{Shape, Tensor, TensorError, Workspace};
+use nds_quant::{Fixed, FixedFormat};
+use nds_tensor::{Tensor, Workspace};
 
 /// Runs one forward pass with the input and every inter-layer activation
-/// rounded to `format`, returning softmax probabilities `[n, classes]`.
-///
-/// Bit-identical to the historical `nds_hw::simulator::quantized_forward`
-/// (same elementwise scale/round/clamp, same full-precision softmax);
-/// the only difference is that every intermediate buffer comes from the
-/// pool, so steady-state rounds stop allocating.
+/// rounded to `format`, returning softmax probabilities `[n, classes]`:
+/// the round-major walker over the whole NCHW batch as one chunk, tapped
+/// with `quantize_activation`.
 ///
 /// # Errors
 ///
@@ -38,87 +37,23 @@ pub fn quantized_forward_ws(
     mode: Mode,
     ws: &mut Workspace,
 ) -> Result<Tensor> {
-    let mut x = quantize_copy(images, format, ws);
-    // `each_layer_mut`, not `layers_mut`: this per-pass walk must not
-    // count as structural surgery (it would bump the structural epoch
-    // and invalidate the MC clone cache every round).
-    for layer in net.each_layer_mut() {
-        let y = layer.forward_ws(&x, mode, ws)?;
-        ws.recycle_tensor(x);
-        x = quantize_copy(&y, format, ws);
-        ws.recycle_tensor(y);
-    }
-    // Softmax runs at full precision on the host/output stage.
-    if x.shape().rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            op: "softmax_rows_inplace",
-            expected: 2,
-            actual: x.shape().rank(),
-        }
-        .into());
-    }
-    x.softmax_rows_inplace().map_err(nds_nn::NnError::from)?;
-    Ok(x)
-}
-
-/// `predict_probs_ws` for the quantised datapath: runs the network over
-/// `images` in `batch_size` micro-batches through
-/// [`quantized_forward_ws`] and assembles the probability rows
-/// `[n, classes]`. Chunking is byte-invariant (masks are drawn per batch
-/// item, quantisation is elementwise), matching the float path's
-/// guarantee.
-///
-/// # Errors
-///
-/// Propagates forward errors from the network.
-pub fn quantized_predict_probs_ws(
-    net: &mut Sequential,
-    images: &Tensor,
-    format: FixedFormat,
-    mode: Mode,
-    batch_size: usize,
-    ws: &mut Workspace,
-) -> Result<Tensor> {
     let n = images.shape().dim(0);
-    if n == 0 {
-        return Tensor::from_vec(Vec::new(), Shape::d2(0, 1)).map_err(Into::into);
-    }
-    let classes = output_classes(net, images.shape())?;
-    let mut rows = ws.take_dirty(n * classes);
-    let mut start = 0;
-    while start < n {
-        let end = (start + batch_size.max(1)).min(n);
-        let batch = slice_batch_ws(images, start, end, ws)?;
-        let probs = quantized_forward_ws(net, &batch, format, mode, ws)?;
-        ws.recycle_tensor(batch);
-        if probs.len() != (end - start) * classes {
-            return Err(TensorError::ShapeMismatch {
-                op: "quantized_predict_probs row assembly",
-                lhs: Shape::d2(end - start, classes),
-                rhs: probs.shape().clone(),
-            }
-            .into());
-        }
-        rows[start * classes..end * classes].copy_from_slice(probs.as_slice());
-        ws.recycle_tensor(probs);
-        start = end;
-    }
-    Tensor::from_vec(rows, Shape::d2(n, classes)).map_err(Into::into)
+    let mut tap = |t: Tensor, _: &mut Workspace| Ok(quantize_activation(t, format));
+    predict_probs_tapped_ws(net, images, mode, n, ws, Some(&mut tap))
 }
 
-/// Pooled copy of `src` with every element rounded to `format`.
-///
-/// Crate-visible: the engine's fused sample-major walker taps this at
-/// exactly the points [`quantized_forward_ws`] quantises (chunk input +
-/// every top-level layer output), so the two execution orders share one
-/// rounding definition.
-pub(crate) fn quantize_copy(src: &Tensor, format: FixedFormat, ws: &mut Workspace) -> Tensor {
-    let mut buf = ws.take_dirty(src.len());
-    fake_quantize_into(src.as_slice(), format, &mut buf);
-    // Panic-audit: invariant-only. `buf` was sized to `src.len()` two
-    // lines up and `from_vec` only fails on a length/shape mismatch, so
-    // no request input can reach this expect.
-    Tensor::from_vec(buf, src.shape().clone()).expect("quantisation preserves shape")
+/// The quantise tap: rounds every element of `t` to `format` in place.
+/// Finite values and infinities take exactly the bits of
+/// [`nds_quant::fake_quantize`]. NaN passes through unchanged: `Fixed`
+/// has no NaN and would read it as 0, which would hide a datapath
+/// fault from the engine's non-finite output scan.
+pub(crate) fn quantize_activation(mut t: Tensor, format: FixedFormat) -> Tensor {
+    for v in t.as_mut_slice() {
+        if !v.is_nan() {
+            *v = Fixed::from_f32(*v, format).to_f32();
+        }
+    }
+    t
 }
 
 #[cfg(test)]
@@ -127,6 +62,7 @@ mod tests {
     use nds_nn::layers::{Flatten, Linear, Relu};
     use nds_quant::{fake_quantize, Q7_8};
     use nds_tensor::rng::Rng64;
+    use nds_tensor::Shape;
 
     fn toy_net(rng: &mut Rng64) -> Sequential {
         let mut net = Sequential::new();
@@ -170,18 +106,26 @@ mod tests {
         assert_eq!(expect.as_slice(), got.as_slice());
     }
 
+    /// Quantised round-major pass over `x` in chunks of `chunk`.
+    fn quantized_probs(
+        net: &mut Sequential,
+        x: &Tensor,
+        chunk: usize,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let mut tap = |t: Tensor, _: &mut Workspace| Ok(quantize_activation(t, Q7_8));
+        predict_probs_tapped_ws(net, x, Mode::Standard, chunk, ws, Some(&mut tap)).unwrap()
+    }
+
     #[test]
     fn chunking_does_not_change_quantized_probs() {
         let mut rng = Rng64::new(8);
         let mut net = toy_net(&mut rng);
         let x = Tensor::rand_normal(Shape::d4(7, 2, 2, 2), 0.0, 1.0, &mut rng);
         let mut ws = Workspace::new();
-        let one_shot =
-            quantized_predict_probs_ws(&mut net, &x, Q7_8, Mode::Standard, 7, &mut ws).unwrap();
+        let one_shot = quantized_probs(&mut net, &x, 7, &mut ws);
         for chunk in [1, 2, 3, 5] {
-            let chunked =
-                quantized_predict_probs_ws(&mut net, &x, Q7_8, Mode::Standard, chunk, &mut ws)
-                    .unwrap();
+            let chunked = quantized_probs(&mut net, &x, chunk, &mut ws);
             assert_eq!(one_shot.as_slice(), chunked.as_slice(), "chunk {chunk}");
         }
     }
@@ -192,13 +136,11 @@ mod tests {
         let mut net = toy_net(&mut rng);
         let x = Tensor::rand_normal(Shape::d4(4, 2, 2, 2), 0.0, 1.0, &mut rng);
         let mut ws = Workspace::new();
-        let warm =
-            quantized_predict_probs_ws(&mut net, &x, Q7_8, Mode::Standard, 2, &mut ws).unwrap();
+        let warm = quantized_probs(&mut net, &x, 2, &mut ws);
         ws.recycle_tensor(warm);
         let allocations = ws.allocations();
         for _ in 0..3 {
-            let probs =
-                quantized_predict_probs_ws(&mut net, &x, Q7_8, Mode::Standard, 2, &mut ws).unwrap();
+            let probs = quantized_probs(&mut net, &x, 2, &mut ws);
             ws.recycle_tensor(probs);
         }
         assert_eq!(
@@ -206,5 +148,35 @@ mod tests {
             allocations,
             "steady-state quantized rounds must be served from the pool"
         );
+    }
+
+    #[test]
+    fn the_tap_passes_nan_and_quantises_everything_else_like_fake_quantize() {
+        let values = vec![
+            0.0,
+            -0.0,
+            0.001,
+            -0.001_953_125,
+            1.0 / 512.0,
+            0.3,
+            -2.5,
+            127.996,
+            200.0,
+            -200.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            f32::NAN,
+        ];
+        let want = fake_quantize(&values, Q7_8);
+        let t = Tensor::from_vec(values.clone(), Shape::d1(values.len())).unwrap();
+        let got = quantize_activation(t, Q7_8);
+        for (i, (&g, &w)) in got.as_slice().iter().zip(&want).enumerate() {
+            if values[i].is_nan() {
+                assert!(g.is_nan(), "NaN must pass the tap unchanged");
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "value {}", values[i]);
+            }
+        }
     }
 }

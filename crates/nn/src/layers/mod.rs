@@ -22,4 +22,5 @@ pub use norm::BatchNorm2d;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use reshape::Flatten;
 pub use residual::Residual;
+pub(crate) use sequential::poison_point;
 pub use sequential::Sequential;

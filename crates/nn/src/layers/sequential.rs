@@ -104,6 +104,49 @@ impl Sequential {
         }
         out
     }
+
+    /// The one chain loop behind the plain, fused and gathered forwards:
+    /// runs `step` on each layer front to back, passes every output
+    /// through [`poison_point`], and recycles each intermediate
+    /// activation as soon as the next layer has consumed it — layers
+    /// clone whatever they need into their own caches (training mode
+    /// only), so no recycled buffer is ever still referenced. The
+    /// borrowed `input` itself is never recycled; an empty chain returns
+    /// a pooled copy of it.
+    fn chain(
+        &mut self,
+        input: &Tensor,
+        ws: &mut Workspace,
+        mut step: impl FnMut(&mut dyn Layer, &Tensor, &mut Workspace) -> Result<Tensor>,
+    ) -> Result<Tensor> {
+        let mut x: Option<Tensor> = None;
+        for (index, layer) in self.layers.iter_mut().enumerate() {
+            let mut y = step(layer.as_mut(), x.as_ref().unwrap_or(input), ws)?;
+            poison_point(index, &mut y);
+            if let Some(consumed) = x.replace(y) {
+                ws.recycle_tensor(consumed);
+            }
+        }
+        match x {
+            Some(out) => Ok(out),
+            None => Ok(ws.take_copy(input)),
+        }
+    }
+}
+
+/// Fault-injection point for the output of layer `index` in a chain: an
+/// armed `FaultPlan::poison_layer` corrupts the activation exactly once,
+/// modelling a transient numeric fault (bit flip / overflow) inside the
+/// accelerator datapath. Free when no plan is armed. Every walker — the
+/// chain loop here and the MC walkers in [`crate::train`] — passes each
+/// layer output through this one point, so an armed plan hits the same
+/// layer index in every execution order.
+pub(crate) fn poison_point(index: usize, y: &mut Tensor) {
+    if nds_fault::wants_poison(index) {
+        if let Some(v) = y.as_mut_slice().first_mut() {
+            *v = f32::NAN;
+        }
+    }
 }
 
 impl FromIterator<Box<dyn Layer>> for Sequential {
@@ -120,35 +163,7 @@ impl Layer for Sequential {
         Box::new(self.clone())
     }
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        // Chain the layers, recycling each intermediate activation as
-        // soon as the next layer has consumed it — layers clone whatever
-        // they need into their own caches (training mode only), so no
-        // recycled buffer is ever still referenced. The borrowed `input`
-        // itself is never recycled.
-        let mut x: Option<Tensor> = None;
-        for (index, layer) in self.layers.iter_mut().enumerate() {
-            let mut y = match &x {
-                Some(t) => layer.forward_ws(t, mode, ws)?,
-                None => layer.forward_ws(input, mode, ws)?,
-            };
-            // Fault-injection point: an armed FaultPlan::poison_layer
-            // corrupts this layer's activation exactly once, modelling a
-            // transient numeric fault (bit flip / overflow) inside the
-            // accelerator datapath. Free when no plan is armed.
-            if nds_fault::wants_poison(index) {
-                if let Some(v) = y.as_mut_slice().first_mut() {
-                    *v = f32::NAN;
-                }
-            }
-            if let Some(consumed) = x.replace(y) {
-                ws.recycle_tensor(consumed);
-            }
-        }
-        match x {
-            Some(out) => Ok(out),
-            // Empty chain: identity, via a pooled copy.
-            None => Ok(ws.take_copy(input)),
-        }
+        self.chain(input, ws, |layer, x, ws| layer.forward_ws(x, mode, ws))
     }
 
     fn backward(&mut self, grad: &Tensor) -> Result<Tensor> {
@@ -194,29 +209,9 @@ impl Layer for Sequential {
         samples: usize,
         ws: &mut Workspace,
     ) -> Result<Tensor> {
-        // Mirror of `forward_ws` for the fused sample-major pass: chain
-        // the children's fused forwards, recycle intermediates, and keep
-        // the same per-layer fault-poisoning point so an armed plan hits
-        // the same layer index in either execution order.
-        let mut x: Option<Tensor> = None;
-        for (index, layer) in self.layers.iter_mut().enumerate() {
-            let mut y = match &x {
-                Some(t) => layer.forward_mc_fused(t, samples, ws)?,
-                None => layer.forward_mc_fused(input, samples, ws)?,
-            };
-            if nds_fault::wants_poison(index) {
-                if let Some(v) = y.as_mut_slice().first_mut() {
-                    *v = f32::NAN;
-                }
-            }
-            if let Some(consumed) = x.replace(y) {
-                ws.recycle_tensor(consumed);
-            }
-        }
-        match x {
-            Some(out) => Ok(out),
-            None => Ok(ws.take_copy(input)),
-        }
+        self.chain(input, ws, |layer, x, ws| {
+            layer.forward_mc_fused(x, samples, ws)
+        })
     }
 
     fn forward_mc_gathered(
@@ -225,29 +220,9 @@ impl Layer for Sequential {
         kept: &[usize],
         ws: &mut Workspace,
     ) -> Result<Tensor> {
-        // Mirror of `forward_ws` for the gathered (escalation) pass:
-        // chain the children's gathered forwards so stochastic layers
-        // can fast-forward their streams over the skipped rows, with the
-        // same per-layer fault-poisoning point as the other orders.
-        let mut x: Option<Tensor> = None;
-        for (index, layer) in self.layers.iter_mut().enumerate() {
-            let mut y = match &x {
-                Some(t) => layer.forward_mc_gathered(t, kept, ws)?,
-                None => layer.forward_mc_gathered(input, kept, ws)?,
-            };
-            if nds_fault::wants_poison(index) {
-                if let Some(v) = y.as_mut_slice().first_mut() {
-                    *v = f32::NAN;
-                }
-            }
-            if let Some(consumed) = x.replace(y) {
-                ws.recycle_tensor(consumed);
-            }
-        }
-        match x {
-            Some(out) => Ok(out),
-            None => Ok(ws.take_copy(input)),
-        }
+        self.chain(input, ws, |layer, x, ws| {
+            layer.forward_mc_gathered(x, kept, ws)
+        })
     }
 
     fn save_mc_state(&mut self) {

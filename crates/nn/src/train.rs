@@ -205,6 +205,30 @@ pub fn predict_probs_ws(
     batch_size: usize,
     ws: &mut Workspace,
 ) -> Result<Tensor> {
+    predict_probs_tapped_ws(net, images, mode, batch_size, ws, None)
+}
+
+/// [`predict_probs_ws`] with an optional activation `tap`: the
+/// round-major walker. Each chunk walks the network's **top-level**
+/// layers through [`Sequential::each_layer_mut`] (structurally
+/// read-only, so cached MC clones survive), and every layer output
+/// passes the fault-poisoning point and then the tap — the same step,
+/// at the same points, as [`predict_probs_fused_into_ws`], so both
+/// execution orders poison and quantise through one definition. The
+/// tap also sees each chunk input. With no tap this is exactly
+/// `Sequential::forward_ws` per chunk.
+///
+/// # Errors
+///
+/// Propagates forward and tap errors from the network.
+pub fn predict_probs_tapped_ws(
+    net: &mut Sequential,
+    images: &Tensor,
+    mode: Mode,
+    batch_size: usize,
+    ws: &mut Workspace,
+    mut tap: Option<ActivationTap<'_>>,
+) -> Result<Tensor> {
     let n = images.shape().dim(0);
     if n == 0 {
         return Tensor::from_vec(Vec::new(), Shape::d2(0, 1)).map_err(Into::into);
@@ -214,26 +238,47 @@ pub fn predict_probs_ws(
     let mut start = 0;
     while start < n {
         let end = (start + batch_size.max(1)).min(n);
-        let batch = slice_batch_ws(images, start, end, ws)?;
-        let mut probs = net.forward_ws(&batch, mode, ws)?;
-        ws.recycle_tensor(batch);
-        probs.softmax_rows_inplace()?;
-        if probs.len() != (end - start) * classes {
+        let mut x = slice_batch_ws(images, start, end, ws)?;
+        if let Some(t) = tap.as_mut() {
+            x = t(x, ws)?;
+        }
+        for (index, layer) in net.each_layer_mut().enumerate() {
+            let y = layer.forward_ws(&x, mode, ws)?;
+            let y = finish_layer(index, y, &mut tap, ws)?;
+            ws.recycle_tensor(std::mem::replace(&mut x, y));
+        }
+        x.softmax_rows_inplace()?;
+        if x.len() != (end - start) * classes {
             // A layer whose forward output disagrees with its out_shape
             // is misimplemented; report it instead of panicking on the
             // row copy.
             return Err(nds_tensor::TensorError::ShapeMismatch {
                 op: "predict_probs row assembly",
                 lhs: Shape::d2(end - start, classes),
-                rhs: probs.shape().clone(),
+                rhs: x.shape().clone(),
             }
             .into());
         }
-        rows[start * classes..end * classes].copy_from_slice(probs.as_slice());
-        ws.recycle_tensor(probs);
+        rows[start * classes..end * classes].copy_from_slice(x.as_slice());
+        ws.recycle_tensor(x);
         start = end;
     }
     Tensor::from_vec(rows, Shape::d2(n, classes)).map_err(Into::into)
+}
+
+/// The per-layer step both MC walkers share: top-level layer `index`'s
+/// output passes the fault-poisoning point, then the tap.
+fn finish_layer(
+    index: usize,
+    mut y: Tensor,
+    tap: &mut Option<ActivationTap<'_>>,
+    ws: &mut Workspace,
+) -> Result<Tensor> {
+    crate::layers::poison_point(index, &mut y);
+    match tap.as_mut() {
+        Some(t) => t(y, ws),
+        None => Ok(y),
+    }
 }
 
 /// Gathered Monte-Carlo prediction for one sample pass: runs the compact
@@ -286,10 +331,11 @@ pub fn predict_probs_gathered_ws(
     Ok(probs)
 }
 
-/// Activation post-processing hook for the fused sample-major walker:
-/// takes ownership of a chunk input or top-level layer output and
-/// returns the (possibly replaced) tensor. See
-/// [`predict_probs_fused_into_ws`]'s `tap` parameter.
+/// Activation post-processing hook for both MC walkers
+/// ([`predict_probs_tapped_ws`], [`predict_probs_fused_into_ws`]): takes
+/// ownership of a chunk input or top-level layer output and returns the
+/// (possibly replaced) tensor. The quantised datapath uses it to
+/// fake-quantise activations.
 pub type ActivationTap<'a> = &'a mut dyn FnMut(Tensor, &mut Workspace) -> Result<Tensor>;
 
 /// Sample-major (fused) Monte-Carlo prediction: runs **one** forward per
@@ -307,14 +353,10 @@ pub type ActivationTap<'a> = &'a mut dyn FnMut(Tensor, &mut Workspace) -> Result
 /// the prefix-sharing win — and every layer from there on sees the
 /// `(S·B)`-row tiling (row `s·B + j` = sample `s`, item `j`) produced by
 /// [`Workspace::take_tiled`]. A fully deterministic network tiles its
-/// output instead. Per-layer outputs pass the same top-level
-/// fault-poisoning point as [`Sequential::forward_ws`], so an armed
-/// fault plan corrupts the same layer index in either execution order.
-///
-/// `tap`, when present, post-processes the chunk input and every
-/// top-level layer output (receiving ownership and returning the, possibly
-/// replaced, tensor) — the quantised datapath uses it to fake-quantise
-/// activations at exactly the points its round-major walker does.
+/// output instead. Per-layer outputs pass the same poison point and
+/// `tap` as the round-major walker ([`predict_probs_tapped_ws`]), so an
+/// armed fault plan corrupts the same layer index, and the quantised
+/// datapath rounds the same activations, in either execution order.
 ///
 /// Callers must prime the network with [`Layer::begin_mc_fused`] (the
 /// `nds-dropout` round harness does); byte identity with round-major
@@ -367,15 +409,8 @@ pub fn predict_probs_fused_into_ws(
                 x = tiled;
                 fused = true;
             }
-            let mut y = layer.forward_mc_fused(&x, samples, ws)?;
-            if nds_fault::wants_poison(index) {
-                if let Some(v) = y.as_mut_slice().first_mut() {
-                    *v = f32::NAN;
-                }
-            }
-            if let Some(t) = tap.as_mut() {
-                y = t(y, ws)?;
-            }
+            let y = layer.forward_mc_fused(&x, samples, ws)?;
+            let y = finish_layer(index, y, &mut tap, ws)?;
             ws.recycle_tensor(std::mem::replace(&mut x, y));
         }
         if !fused {

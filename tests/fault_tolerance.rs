@@ -7,11 +7,16 @@
 //! Fault plans are process-global, so every test takes the [`SERIAL`]
 //! lock first — the harness documents this pattern.
 
+use neural_dropout_search::adaptive::exits::attach_exit_heads;
+use neural_dropout_search::adaptive::{AdaptivePolicy, ExitPolicy};
 use neural_dropout_search::dropout::{DropoutKind, DropoutLayer, DropoutSettings};
-use neural_dropout_search::engine::{EngineBuilder, EngineError, PredictRequest};
+use neural_dropout_search::engine::{
+    Backend, EngineBuilder, EngineError, Execution, PredictRequest, SimPlatform,
+};
 use neural_dropout_search::fault::FaultPlan;
 use neural_dropout_search::nn::arch::{FeatureShape, SlotInfo, SlotPosition};
 use neural_dropout_search::nn::layers::{Flatten, Linear, Sequential};
+use neural_dropout_search::quant::Q7_8;
 use neural_dropout_search::serve::{ServeRequest, ServerBuilder, TenantSpec};
 use neural_dropout_search::tensor::parallel::{
     pool_respawn_count, run_scoped_checked, worker_count,
@@ -187,23 +192,100 @@ fn killed_workers_respawn_and_the_pool_keeps_serving() {
 fn nan_poisoning_is_reported_as_non_finite_output_not_a_panic() {
     let _serial = serial();
     let x = batch(6);
-    let mut engine = EngineBuilder::new(stochastic_net(9))
-        .samples(2)
-        .workers(1)
-        .build();
-    // Poison the first Linear layer's activations: the NaN must ride
-    // through dropout and softmax into the output scan.
-    let injected = FaultPlan::new(19).poison_layer(1).activate();
-    let err = engine.predict(&PredictRequest::new(&x)).unwrap_err();
-    drop(injected);
-    assert!(matches!(err, EngineError::NonFiniteOutput { .. }), "{err}");
-    assert!(!err.is_transient(), "data corruption is not retryable");
-    // The engine stays serviceable once the fault clears.
-    engine.invalidate_cache();
-    let resp = engine
+    let hw_sim = Backend::HwSim(SimPlatform {
+        name: "test-fpga".to_string(),
+        format: Q7_8,
+        latency_ms_per_image: 0.25,
+    });
+    for backend in [Backend::Float32, Backend::quantized_q78(), hw_sim] {
+        for execution in [Execution::RoundMajor, Execution::SampleMajor] {
+            // Layer 1 is the first Linear (the NaN must ride through
+            // dropout, the second Linear and softmax); layer 3 is the
+            // classifier. On the fixed-point datapaths the NaN must also
+            // survive every quantise tap instead of rounding to 0.
+            for layer in [1, 3] {
+                let case = format!("{} {execution} layer {layer}", backend.label());
+                let mut engine = EngineBuilder::new(stochastic_net(9))
+                    .backend(backend.clone())
+                    .execution(execution)
+                    .samples(2)
+                    .workers(1)
+                    .build();
+                let injected = FaultPlan::new(19).poison_layer(layer).activate();
+                let err = engine.predict(&PredictRequest::new(&x)).unwrap_err();
+                drop(injected);
+                assert!(
+                    matches!(err, EngineError::NonFiniteOutput { .. }),
+                    "{case}: {err}"
+                );
+                assert!(!err.is_transient(), "data corruption is not retryable");
+                // The engine stays serviceable once the fault clears.
+                engine.invalidate_cache();
+                let resp = engine
+                    .predict(&PredictRequest::new(&x))
+                    .expect("engine serves after a poisoned round");
+                assert!(
+                    resp.probs.as_slice().iter().all(|v| v.is_finite()),
+                    "{case}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_retried_exit_gated_request_counts_each_exit_once() {
+    let _serial = serial();
+    // An exit head after the first Linear (in-flow [rows, 12]); untrained,
+    // so its calibrated confidence splits the rows between the head and
+    // the final classifier.
+    let mut net = stochastic_net(41);
+    attach_exit_heads(
+        &mut net,
+        &Shape::d4(1, 1, 4, 4),
+        &[2],
+        4,
+        &mut Rng64::new(43),
+    )
+    .unwrap();
+    let x = Tensor::rand_normal(Shape::d4(6, 1, 4, 4), 0.0, 1.0, &mut Rng64::new(45));
+    let engine = |retries: usize| {
+        EngineBuilder::new(net.clone())
+            .samples(4)
+            .workers(2)
+            .transient_retries(retries)
+            .adaptive(AdaptivePolicy {
+                escalation: None,
+                exits: Some(ExitPolicy {
+                    thresholds: vec![0.5],
+                }),
+            })
+            .build()
+    };
+    let want = engine(0).predict(&PredictRequest::new(&x)).unwrap();
+    let want_hist = want.exit_histogram.clone().expect("exit gate active");
+    assert_eq!(
+        want_hist.iter().sum::<usize>(),
+        4 * 6,
+        "one exit per (pass, row)"
+    );
+    assert!(
+        want_hist.iter().all(|&c| c > 0),
+        "the threshold splits the rows between the head and the classifier: {want_hist:?}"
+    );
+    // The second pool task dies once; the retry must start its tally
+    // from zero, not on top of the passes the failed attempt finished.
+    let injected = FaultPlan::new(47).panic_on_pool_task(1).activate();
+    let got = engine(2)
         .predict(&PredictRequest::new(&x))
-        .expect("engine serves after a poisoned round");
-    assert!(resp.probs.as_slice().iter().all(|v| v.is_finite()));
+        .expect("transient retry heals a one-shot fault");
+    drop(injected);
+    assert_eq!(got.probs.as_slice(), want.probs.as_slice());
+    assert_eq!(
+        got.exit_histogram,
+        Some(want_hist),
+        "a retried request must report the histogram of one clean run"
+    );
 }
 
 #[test]
