@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nds_dropout::masks::{bernoulli_mask, block_mask, random_mask};
 use nds_dropout::masksembles::MaskSet;
-use nds_engine::{EngineBuilder, PredictRequest};
+use nds_engine::{EngineBuilder, Execution, PredictRequest};
 use nds_gp::{GpRegressor, Kernel};
 use nds_hw::accel::{AcceleratorConfig, AcceleratorModel};
 use nds_hw::lfsr::Lfsr16;
@@ -113,12 +113,13 @@ fn bench_inference(c: &mut Criterion) {
     // End-to-end MC throughput at a heavier batch — the shape of the
     // supernet-evaluation inner loop. The engine's persistent clone
     // cache and warm workspace make steady-state rounds allocation-free
-    // even on the parallel path.
+    // even on the round-major parallel path.
     let big = Tensor::rand_normal(Shape::d4(32, 1, 28, 28), 0.0, 1.0, &mut rng);
     let workers = nds_tensor::parallel::worker_count();
     let mut pooled_engine = EngineBuilder::new(supernet.net().clone())
         .samples(3)
         .workers(workers)
+        .execution(Execution::RoundMajor)
         .chunk_size(32)
         .build();
     c.bench_function("mc_predict_lenet_s3_b32_pooled", |bench| {

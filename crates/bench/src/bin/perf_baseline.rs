@@ -15,12 +15,16 @@
 //! (and fails on panic) in every CI leg, keeping this code from
 //! bit-rotting between perf-focused PRs.
 //!
-//! Pass `--execution <round-major|sample-major>` to run every
-//! engine-served row under that MC execution order (bytes are
-//! identical; only the schedule differs). The dedicated
-//! `mask_bank_lenet_s3` row always measures *both* orders head-to-head
-//! — serial round-major vs the fused sample-major path — and asserts
-//! their byte identity before timing.
+//! Pass `--execution <round-major|sample-major>` to run the
+//! engine-served rows under that MC execution order (default
+//! sample-major; bytes are identical, only the schedule differs); the
+//! JSON records it as `execution`. Two kinds of row ignore it. The
+//! `mc_predict_*` rows always run round-major, because their serial vs
+//! pool-wide `speedup` measures the engine's worker split, which only
+//! round-major uses. The dedicated `mask_bank_lenet_s3` row always
+//! measures *both* orders head-to-head — serial round-major vs the
+//! fused sample-major path — and asserts their byte identity before
+//! timing.
 //!
 //! The `mc_predict_*` rows keep their historical names (the PR 1-3
 //! trajectory series) but measure through the `UncertaintyEngine` since
@@ -62,8 +66,8 @@ fn main() {
     // CI runs this in every NDS_THREADS leg so the bench cannot rot.
     let argv: Vec<String> = std::env::args().collect();
     let smoke = argv.iter().any(|a| a == "--smoke");
-    // Execution order for every engine-served row; the mask_bank row
-    // below ignores it and always measures both orders head-to-head.
+    // Execution order for the engine-served rows; the mc_predict rows
+    // pin round-major and the mask_bank row measures both orders.
     let execution: Execution = argv
         .iter()
         .position(|a| a == "--execution")
@@ -72,7 +76,7 @@ fn main() {
             v.parse()
                 .expect("--execution is round-major or sample-major")
         })
-        .unwrap_or(Execution::RoundMajor);
+        .unwrap_or_default();
     let workers = worker_count();
     let mut rng = Rng64::new(1);
     let (mm_dim, reps) = if smoke { (48, 3) } else { (256, 15) };
@@ -113,12 +117,14 @@ fn main() {
     let images = Tensor::rand_normal(Shape::d4(mc_batch, 1, 28, 28), 0.0, 1.0, &mut rng);
     // Engine-served MC prediction at an explicit serial vs pool-wide
     // worker split (byte-identical outputs; only scheduling differs).
+    // Round-major whatever `--execution` says: the fused sample-major
+    // walk ignores `workers`, so it would time one path twice.
     let mc_engine = |net: &Supernet, w: usize, chunk: usize| -> UncertaintyEngine {
         EngineBuilder::new(net.net().clone())
             .samples(mc_samples)
             .workers(w)
             .chunk_size(chunk)
-            .execution(execution)
+            .execution(Execution::RoundMajor)
             .build()
     };
     let time_engine = |engine: &mut UncertaintyEngine, images: &Tensor, reps: usize| {
@@ -511,6 +517,7 @@ fn main() {
         "{{\n  \
          \"bench\": \"inference-engine baseline\",\n  \
          \"workers\": {workers},\n  \
+         \"execution\": \"{execution}\",\n  \
          \"matmul_256\": {{\n    \
          \"naive_ms\": {:.4},\n    \
          \"blocked_ms\": {:.4},\n    \

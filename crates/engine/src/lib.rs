@@ -33,13 +33,15 @@
 //!   [`EngineBuilder::chunk_size`]); per-item mask streams make chunked
 //!   results byte-identical to one-shot execution (property-tested at
 //!   the workspace root).
-//! * **Round-major or sample-major.** [`EngineBuilder::execution`]
-//!   picks the MC schedule: S sequential passes (the default,
-//!   [`Execution::RoundMajor`]) or one fused `(S·B)`-row pass per chunk
-//!   with precomputed per-sample mask banks
-//!   ([`Execution::SampleMajor`], the serial-throughput path). The two
+//! * **Sample-major or round-major.** [`EngineBuilder::execution`]
+//!   picks the MC schedule: one fused `(S·B)`-row pass per chunk with
+//!   precomputed per-sample mask banks (the default,
+//!   [`Execution::SampleMajor`]), or S sequential passes fanned out
+//!   over the engine's workers ([`Execution::RoundMajor`]). The two
 //!   orders serve **byte-identical** responses, so golden fixtures and
-//!   downstream consumers never notice the switch.
+//!   downstream consumers never notice the switch. Requests that need
+//!   round granularity (a latency budget that may degrade, exit-head
+//!   walks) run round-major whatever the engine's order.
 //! * **Allocation-free steady state.** The serial MC path has been
 //!   allocation-free since PR 3; the engine extends that to the
 //!   *parallel* path: worker clones (copy-on-write weights) and their
@@ -359,24 +361,26 @@ impl Backend {
 /// from `(seed, slot, sample, item)` regardless of scheduling — so this
 /// knob trades nothing but throughput:
 ///
-/// * [`Execution::RoundMajor`] (default) runs S sequential passes over
-///   the batch, fanning samples out across the worker pool. It is the
-///   historical path and the only granularity the latency-budget
-///   degradation loop can use (degradation drops whole rounds).
-/// * [`Execution::SampleMajor`] folds the sample dimension into the
-///   batch: one `(S·B)`-row pass per chunk with precomputed per-sample
-///   mask banks applied in place ([`nds_dropout::MaskBank`]). Layers
-///   before the first stochastic one run **once** instead of S times,
-///   every gemm widens by S, and steady-state rounds reuse the banks —
-///   the serial-throughput path. Budgeted requests that can degrade
-///   fall back to round-major execution (the fused round is
-///   all-or-nothing).
+/// * [`Execution::RoundMajor`] runs S sequential passes over the batch,
+///   fanning samples out across the worker pool. It is the historical
+///   path and the only granularity the latency-budget degradation loop
+///   can use (degradation drops whole rounds).
+/// * [`Execution::SampleMajor`] (default) folds the sample dimension
+///   into the batch: one `(S·B)`-row pass per chunk with precomputed
+///   per-sample mask banks applied in place ([`nds_dropout::MaskBank`]).
+///   Layers before the first stochastic one run **once** instead of S
+///   times, every gemm widens by S, and steady-state rounds reuse the
+///   banks. Parallelism comes from the kernels, not from a sample
+///   fan-out, so the engine's worker split does not apply. Budgeted
+///   requests that can degrade, and exit-head walks, run round-major
+///   (the fused round is all-or-nothing); gated requests keep their
+///   pilot and gathered passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Execution {
     /// S sequential passes, one per MC sample (the historical order).
-    #[default]
     RoundMajor,
     /// One fused `(S·B)`-row pass per chunk with per-sample mask banks.
+    #[default]
     SampleMajor,
 }
 
@@ -555,7 +559,7 @@ impl EngineBuilder {
             workers: 0,
             chunk: 0,
             transient_retries: 0,
-            execution: Execution::RoundMajor,
+            execution: Execution::default(),
             adaptive: AdaptivePolicy::disabled(),
         }
     }
@@ -567,7 +571,7 @@ impl EngineBuilder {
     }
 
     /// Selects the MC execution order (default
-    /// [`Execution::RoundMajor`]); see [`Execution`] for the trade-off.
+    /// [`Execution::SampleMajor`]); see [`Execution`] for the trade-off.
     /// Both orders serve byte-identical responses.
     pub fn execution(mut self, execution: Execution) -> Self {
         self.execution = execution;
@@ -1377,6 +1381,27 @@ impl UncertaintyEngine {
         &mut self.net
     }
 
+    /// A new engine over `net` with every setting of this one (backend,
+    /// samples, seed, workers, chunk, retries, execution order, adaptive
+    /// policy) and its own fresh workspace and clone cache. Forks of a
+    /// served network (parallel search workers) use this, so they serve
+    /// the bytes their parent would.
+    pub fn sibling(&self, net: Sequential) -> UncertaintyEngine {
+        UncertaintyEngine {
+            net,
+            backend: self.backend.clone(),
+            samples: self.samples,
+            seed: self.seed,
+            workers: self.workers,
+            chunk: self.chunk,
+            transient_retries: self.transient_retries,
+            execution: self.execution,
+            adaptive: self.adaptive.clone(),
+            ws: Workspace::new(),
+            cache: McCloneCache::new(),
+        }
+    }
+
     /// Consumes the engine, returning the network.
     pub fn into_net(self) -> Sequential {
         self.net
@@ -1482,10 +1507,12 @@ mod tests {
         let mut cold = EngineBuilder::new(stochastic_net(19))
             .samples(3)
             .workers(4)
+            .execution(Execution::RoundMajor)
             .build();
         let mut warm = EngineBuilder::new(stochastic_net(19))
             .samples(3)
             .workers(4)
+            .execution(Execution::RoundMajor)
             .build();
         warm.prewarm();
         let a = cold.predict(&PredictRequest::new(&x)).unwrap();
@@ -1650,6 +1677,7 @@ mod tests {
                         .backend(backend.clone())
                         .samples(4)
                         .workers(workers)
+                        .execution(Execution::RoundMajor)
                         .build()
                 };
                 let a = engine().predict(&req).unwrap();
@@ -1698,6 +1726,7 @@ mod tests {
             let mut round = EngineBuilder::new(stochastic_net(29))
                 .samples(3)
                 .backend(backend.clone())
+                .execution(Execution::RoundMajor)
                 .build();
             let mut fused = EngineBuilder::new(stochastic_net(29))
                 .samples(3)
@@ -1739,7 +1768,10 @@ mod tests {
     fn set_execution_flips_the_order_between_requests() {
         let mut rng = Rng64::new(31);
         let x = Tensor::rand_normal(Shape::d4(3, 1, 4, 4), 0.0, 1.0, &mut rng);
-        let mut engine = EngineBuilder::new(stochastic_net(37)).samples(3).build();
+        let mut engine = EngineBuilder::new(stochastic_net(37))
+            .samples(3)
+            .execution(Execution::RoundMajor)
+            .build();
         let a = engine.predict(&PredictRequest::new(&x)).unwrap();
         engine.set_execution(Execution::SampleMajor);
         let b = engine.predict(&PredictRequest::new(&x)).unwrap();
@@ -1781,7 +1813,11 @@ mod tests {
 
     #[test]
     fn execution_labels_and_parsing() {
-        assert_eq!(Execution::default(), Execution::RoundMajor);
+        assert_eq!(Execution::default(), Execution::SampleMajor);
+        assert_eq!(
+            EngineBuilder::new(Sequential::new()).build().execution(),
+            Execution::SampleMajor
+        );
         assert_eq!(Execution::RoundMajor.label(), "round-major");
         assert_eq!(Execution::SampleMajor.label(), "sample-major");
         for (text, want) in [

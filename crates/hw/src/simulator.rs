@@ -72,7 +72,7 @@ pub fn quantized_forward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nds_engine::{Backend, EngineBuilder};
+    use nds_engine::{Backend, EngineBuilder, Execution};
     use nds_nn::layers::{Flatten, Linear, Relu};
     use nds_quant::{Q3_12, Q7_8};
     use nds_tensor::rng::Rng64;
@@ -187,6 +187,7 @@ mod tests {
             .backend(Backend::quantized_q78())
             .samples(4)
             .workers(1)
+            .execution(Execution::RoundMajor)
             .build();
         let serial = serial_engine.predict(&request).unwrap();
         for workers in [2, 3, 4, 8] {
@@ -194,6 +195,7 @@ mod tests {
                 .backend(Backend::quantized_q78())
                 .samples(4)
                 .workers(workers)
+                .execution(Execution::RoundMajor)
                 .build();
             let parallel = engine.predict(&request).unwrap();
             assert_eq!(

@@ -525,7 +525,7 @@ impl ServerBuilder {
     }
 
     /// Selects the MC execution order of every tenant engine —
-    /// round-major (default) or sample-major fused. Response bytes are
+    /// sample-major fused (default) or round-major. Response bytes are
     /// identical either way; see [`nds_engine::Execution`].
     pub fn execution(mut self, execution: Execution) -> Self {
         self.execution = execution;

@@ -105,7 +105,10 @@ impl Supernet {
     /// Forks an independent copy of this supernet for a worker thread:
     /// same weights, batch-norm statistics, calibration batches and
     /// active configuration — but its own selection state, so the fork
-    /// can switch paths without affecting the original.
+    /// can switch paths without affecting the original. The fork's
+    /// engine keeps every setting of the original's (backend, seed,
+    /// execution order, …; see [`UncertaintyEngine::sibling`]), so a
+    /// fork scores a candidate with the bytes the original would.
     ///
     /// Implemented **init-free**, in O(layers): the network is cloned —
     /// a copy-on-write share, since parameters live in
@@ -139,9 +142,7 @@ impl Supernet {
             spec: self.spec.clone(),
             selection,
             calibration: std::sync::Arc::clone(&self.calibration),
-            engine: EngineBuilder::new(net)
-                .samples(self.engine.samples())
-                .build(),
+            engine: self.engine.sibling(net),
         })
     }
 

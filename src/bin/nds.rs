@@ -75,9 +75,9 @@ USAGE:
                 [--adaptive <off|THRESHOLD>] [--gate <entropy|top-var>]
                 [--pilot <N>]
 
-EXECUTION: `round-major` (default) runs the S MC samples as S
-    sequential passes; `sample-major` fuses them into one (S·B)-row
-    pass per layer with a precomputed mask bank. The bytes are
+EXECUTION: `sample-major` (default) fuses the S MC samples into one
+    (S·B)-row pass per layer with a precomputed mask bank;
+    `round-major` runs them as S sequential passes. The bytes are
     identical either way; sample-major trades memory for throughput.
 
 ADAPTIVE: `--adaptive <THRESHOLD>` spends `--pilot` (default 1) MC
@@ -760,7 +760,7 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), CliError> {
     // Scheduling only — the printed bytes are identical for both
     // orders (the golden suite diffs exactly that), so the choice is
     // deliberately absent from the output.
-    let execution: Execution = parse_flag(flags, "execution", Execution::RoundMajor)?;
+    let execution: Execution = parse_flag(flags, "execution", Execution::default())?;
     // Validated up front: a malformed gate exits 2 before any dataset
     // or supernet work happens.
     let adaptive = adaptive_policy_from_flags(flags)?;
@@ -1031,7 +1031,7 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let max_batch: usize = parse_flag(flags, "max-batch", 8)?;
     let serial_reqs: usize = parse_flag::<usize>(flags, "serial", 16)?.max(2);
     let sat_reqs: usize = parse_flag::<usize>(flags, "requests", 64)?.max(1);
-    let execution: Execution = parse_flag(flags, "execution", Execution::RoundMajor)?;
+    let execution: Execution = parse_flag(flags, "execution", Execution::default())?;
     // Validated up front, like every other flag: exit 2 before the
     // supernet is built or any request is accepted.
     let adaptive = adaptive_policy_from_flags(flags)?;

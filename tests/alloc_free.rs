@@ -16,6 +16,9 @@
 //! explicit `workers = 4` split, the harness takes its cached-clone
 //! parallel branch (chunk boundaries, per-worker nets and workspaces all
 //! exercised), and after warm-up it too must stay off the allocator.
+//! That split is pinned to round-major; a default-built engine (the
+//! fused sample-major order) is held to zero allocations at one and
+//! four workers as well.
 //! Thread-pool dispatch itself is the one part serial execution cannot
 //! measure; the `NDS_THREADS=4` CI leg runs the same suite for
 //! correctness (byte identity), while the allocation counters stay
@@ -25,7 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use neural_dropout_search::dropout::mc::{mc_sample_rounds_into, McCloneCache};
-use neural_dropout_search::engine::{EngineBuilder, PredictRequest};
+use neural_dropout_search::engine::{EngineBuilder, Execution, PredictRequest};
 use neural_dropout_search::nn::train::predict_probs_ws;
 use neural_dropout_search::nn::{zoo, Layer, Mode, NnError};
 use neural_dropout_search::supernet::{Supernet, SupernetSpec};
@@ -186,6 +189,7 @@ fn steady_state_inference_and_forking_stay_off_the_allocator() {
     let mut engine = EngineBuilder::new(supernet.net_mut().clone())
         .samples(3)
         .workers(4)
+        .execution(Execution::RoundMajor)
         .chunk_size(4)
         .build();
     let request = PredictRequest::new(&images);
@@ -202,6 +206,32 @@ fn steady_state_inference_and_forking_stay_off_the_allocator() {
         "steady-state parallel engine predict must not allocate \
          ({allocs} allocations, {bytes} bytes)"
     );
+
+    // ------------------------------------------------------------------
+    // Engine, default order (sample-major): the fused walker and its
+    // mask banks must be allocation-free in steady state too, whatever
+    // worker split the engine was given.
+    // ------------------------------------------------------------------
+    for workers in [1usize, 4] {
+        let mut engine = EngineBuilder::new(supernet.net_mut().clone())
+            .samples(3)
+            .workers(workers)
+            .chunk_size(4)
+            .build();
+        assert_eq!(engine.execution(), Execution::SampleMajor);
+        for _ in 0..3 {
+            let warm = engine.predict(&request).unwrap();
+            engine.recycle(warm);
+        }
+        let (allocs, bytes, resp) = count_allocs(|| engine.predict(&request).unwrap());
+        assert_eq!(resp.probs.shape(), &Shape::d2(8, 10));
+        engine.recycle(resp);
+        assert_eq!(
+            allocs, 0,
+            "steady-state default-order engine predict ({workers} workers) must not \
+             allocate ({allocs} allocations, {bytes} bytes)"
+        );
+    }
 
     // ------------------------------------------------------------------
     // Supernet::fork: O(layers), sharing every weight — no fresh

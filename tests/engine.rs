@@ -24,7 +24,8 @@
 
 use neural_dropout_search::dropout::{DropoutKind, DropoutLayer, DropoutSettings};
 use neural_dropout_search::engine::{
-    Backend, EngineBuilder, PredictRequest, SimPlatform, UncertaintyEngine, UncertaintyFlags,
+    Backend, EngineBuilder, Execution, PredictRequest, SimPlatform, UncertaintyEngine,
+    UncertaintyFlags,
 };
 use neural_dropout_search::hw::simulator::quantize_network;
 use neural_dropout_search::nn::arch::{FeatureShape, SlotInfo, SlotPosition};
@@ -85,6 +86,7 @@ fn engine_float_backend_worker_splits_are_byte_identical() {
     let mut reference = EngineBuilder::new(stochastic_net(1))
         .samples(4)
         .workers(1)
+        .execution(Execution::RoundMajor)
         .chunk_size(5)
         .build();
     let expect = reference.predict(&PredictRequest::new(&x)).unwrap();
@@ -92,6 +94,7 @@ fn engine_float_backend_worker_splits_are_byte_identical() {
         let mut engine = EngineBuilder::new(stochastic_net(1))
             .samples(4)
             .workers(workers)
+            .execution(Execution::RoundMajor)
             .chunk_size(2)
             .build();
         let resp = engine.predict(&PredictRequest::new(&x)).unwrap();
@@ -110,6 +113,7 @@ fn engine_uncertainty_outputs_are_schedule_invariant_and_consistent() {
     let mut reference = EngineBuilder::new(stochastic_net(3))
         .samples(5)
         .workers(1)
+        .execution(Execution::RoundMajor)
         .chunk_size(6)
         .build();
     let expect = reference
@@ -118,6 +122,7 @@ fn engine_uncertainty_outputs_are_schedule_invariant_and_consistent() {
     let mut engine = EngineBuilder::new(stochastic_net(3))
         .samples(5)
         .workers(4)
+        .execution(Execution::RoundMajor)
         .chunk_size(2)
         .build();
     let resp = engine
@@ -158,6 +163,7 @@ fn engine_quantized_backend_worker_splits_are_byte_identical() {
             .backend(Backend::quantized_q78())
             .samples(3)
             .workers(workers)
+            .execution(Execution::RoundMajor)
             .chunk_size(chunk)
             .build()
     };
@@ -214,6 +220,7 @@ fn weight_mutation_invalidates_cached_parallel_clones() {
     let mut engine = EngineBuilder::new(stochastic_net(9))
         .samples(4)
         .workers(4)
+        .execution(Execution::RoundMajor)
         .build();
     let before = engine.predict(&PredictRequest::new(&x)).unwrap();
     for param in engine.net_mut().params_mut() {
@@ -248,6 +255,7 @@ fn layer_push_invalidates_cached_parallel_clones() {
     let mut engine = EngineBuilder::new(stochastic_net(13))
         .samples(4)
         .workers(4)
+        .execution(Execution::RoundMajor)
         .build();
     let before = engine.predict(&PredictRequest::new(&x)).unwrap();
     engine.net_mut().push(Box::new(Relu::new()));
@@ -285,6 +293,7 @@ fn same_count_layer_swap_invalidates_cached_parallel_clones() {
     let mut engine = EngineBuilder::new(with_tail(Box::new(Relu::new())))
         .samples(4)
         .workers(4)
+        .execution(Execution::RoundMajor)
         .build();
     let before = engine.predict(&PredictRequest::new(&x)).unwrap();
     let last = engine.net_mut().len() - 1;
@@ -313,7 +322,11 @@ fn batch_norm_stat_update_invalidates_cached_parallel_clones() {
     // pointer identity. The stats-epoch fingerprint must catch the
     // update and rebuild the cached clones.
     let x = images(12, 4);
-    let mut engine = EngineBuilder::new(bn_net(11)).samples(4).workers(4).build();
+    let mut engine = EngineBuilder::new(bn_net(11))
+        .samples(4)
+        .workers(4)
+        .execution(Execution::RoundMajor)
+        .build();
     let before = engine.predict(&PredictRequest::new(&x)).unwrap();
     let shift = |net: &mut Sequential| {
         net.visit_batch_norms(&mut |bn| {
@@ -356,6 +369,7 @@ fn engine_for(
         .backend(backend.clone())
         .samples(samples)
         .workers(workers)
+        .execution(Execution::RoundMajor)
         .chunk_size(chunk)
         .build()
 }

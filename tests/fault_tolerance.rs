@@ -98,6 +98,7 @@ fn engine_surfaces_injected_pool_panics_as_transient_typed_errors() {
     let mut engine = EngineBuilder::new(stochastic_net(3))
         .samples(4)
         .workers(2)
+        .execution(Execution::RoundMajor)
         .build();
     let injected = FaultPlan::new(11).panic_on_pool_task(0).activate();
     let err = engine.predict(&PredictRequest::new(&x)).unwrap_err();
@@ -113,6 +114,7 @@ fn engine_surfaces_injected_pool_panics_as_transient_typed_errors() {
     let mut clean = EngineBuilder::new(stochastic_net(3))
         .samples(4)
         .workers(2)
+        .execution(Execution::RoundMajor)
         .build();
     let want = clean.predict(&PredictRequest::new(&x)).unwrap();
     assert_eq!(
@@ -129,6 +131,7 @@ fn transient_retries_heal_one_shot_pool_faults_byte_identically() {
     let mut retrying = EngineBuilder::new(stochastic_net(5))
         .samples(4)
         .workers(2)
+        .execution(Execution::RoundMajor)
         .transient_retries(2)
         .build();
     let injected = FaultPlan::new(13).panic_on_pool_task(0).activate();
@@ -143,6 +146,7 @@ fn transient_retries_heal_one_shot_pool_faults_byte_identically() {
     let mut clean = EngineBuilder::new(stochastic_net(5))
         .samples(4)
         .workers(2)
+        .execution(Execution::RoundMajor)
         .build();
     let want = clean.predict(&PredictRequest::new(&x)).unwrap();
     assert_eq!(
@@ -332,9 +336,12 @@ fn slow_passes_degrade_sample_count_within_the_latency_budget() {
 #[test]
 fn a_backlog_behind_a_busy_dispatcher_leaves_in_one_wake_up() {
     let _serial = serial();
-    // One engine worker: the three MC passes of a request run in turn,
-    // so a slowed request keeps the dispatcher busy for ~60 ms.
-    let mut builder = ServerBuilder::new(stochastic_net(31)).workers(1);
+    // One engine worker, round-major: the three MC passes of a request
+    // run in turn, so a slowed request keeps the dispatcher busy for
+    // ~60 ms.
+    let mut builder = ServerBuilder::new(stochastic_net(31))
+        .workers(1)
+        .execution(Execution::RoundMajor);
     let tenant = builder.tenant(TenantSpec::default());
     let server = builder.build();
     // Warm up before the plan arms, so the dispatcher is idle in its

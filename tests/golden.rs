@@ -193,9 +193,10 @@ fn cli_eval_bytes_identical_across_thread_counts() {
 #[test]
 fn cli_eval_bytes_identical_across_execution_orders() {
     // The sample-major fused path (PR 8) is a pure scheduling choice:
-    // `nds eval --execution sample-major` must print byte-for-byte what
-    // the round-major default prints — which is also why the committed
-    // fixture below needed no regeneration when the knob landed.
+    // `nds eval --execution sample-major` (the default order) must print
+    // byte-for-byte what `--execution round-major` prints — which is
+    // also why the committed fixtures needed no regeneration when the
+    // knob landed, nor when the default moved to sample-major.
     let base = &["eval", "--arch", "lenet", "--config", "RKM", "--seed", "11"];
     let (ok_round, round) = eval_bytes("4", &[&base[..], &["--execution", "round-major"]].concat());
     let (ok_fused, fused) =

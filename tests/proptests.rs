@@ -377,7 +377,7 @@ proptest! {
         kind_ix in 0usize..4,
     ) {
         use neural_dropout_search::dropout::{DropoutKind, DropoutLayer, DropoutSettings};
-        use neural_dropout_search::engine::{EngineBuilder, PredictRequest};
+        use neural_dropout_search::engine::{EngineBuilder, Execution, PredictRequest};
         use neural_dropout_search::nn::arch::{FeatureShape, SlotInfo, SlotPosition};
         use neural_dropout_search::nn::layers::{Flatten, Linear, Sequential};
 
@@ -415,12 +415,14 @@ proptest! {
         let mut serial_engine = EngineBuilder::new(build())
             .samples(samples)
             .workers(1)
+            .execution(Execution::RoundMajor)
             .chunk_size(2)
             .build();
         let serial = serial_engine.predict(&request).unwrap();
         let mut parallel_engine = EngineBuilder::new(build())
             .samples(samples)
             .workers(workers)
+            .execution(Execution::RoundMajor)
             .chunk_size(2)
             .build();
         let parallel = parallel_engine.predict(&request).unwrap();

@@ -508,3 +508,63 @@ fn seed_override_replaces_the_strategy_seed() {
     let (_, b) = run_with_seed(Some(1234), 999);
     assert_eq!(a, b, "builder seed must override the config seed exactly");
 }
+
+/// Parallel search scores candidates on `Supernet::fork`s. Each fork
+/// must serve with every setting of its supernet's engine, so a
+/// fixed-point supernet scores the same bytes at any worker count and
+/// in either execution order.
+#[test]
+fn forked_evaluators_keep_the_supernets_engine_settings() {
+    use neural_dropout_search::engine::{Backend, Execution};
+    use neural_dropout_search::search::{LatencyProvider, SupernetEvaluator};
+    use neural_dropout_search::tensor::rng::Rng64;
+
+    let splits = mnist_like(&DatasetConfig {
+        train: 48,
+        val: 16,
+        test: 8,
+        seed: 21,
+        noise: 0.05,
+    });
+    let spec = SupernetSpec::paper_default(zoo::lenet(), 31).unwrap();
+    let configs: Vec<DropoutConfig> = ["BBB", "RBM", "KKB"]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+    let supernet_with = |backend: &Backend, execution| {
+        let mut supernet = Supernet::build(&spec).unwrap();
+        supernet.engine_mut().set_backend(backend.clone());
+        supernet.engine_mut().set_execution(execution);
+        supernet
+    };
+    let score = |backend: &Backend, execution, workers| {
+        let mut supernet = supernet_with(backend, execution);
+        let ood = splits.val.ood_noise(8, &mut Rng64::new(5));
+        let mut evaluator = SupernetEvaluator::new(
+            &mut supernet,
+            &splits.val,
+            ood,
+            LatencyProvider::Constant(1.0),
+            8,
+        );
+        let scored = evaluator
+            .evaluate_many_with_workers(&configs, workers)
+            .unwrap();
+        scored.into_iter().map(|c| c.metrics).collect::<Vec<_>>()
+    };
+
+    let q78 = Backend::quantized_q78();
+    let float = score(&Backend::Float32, Execution::default(), 1);
+    for execution in [Execution::SampleMajor, Execution::RoundMajor] {
+        let serial = score(&q78, execution, 1);
+        assert_ne!(serial, float, "Q7.8 must move the scores ({execution})");
+        assert_eq!(
+            score(&q78, execution, 3),
+            serial,
+            "forked workers must score with the supernet's backend ({execution})"
+        );
+        let mut fork = supernet_with(&q78, execution).fork().unwrap();
+        assert_eq!(fork.engine_mut().backend(), &q78);
+        assert_eq!(fork.engine_mut().execution(), execution);
+    }
+}

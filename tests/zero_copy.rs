@@ -8,7 +8,7 @@
 //! — and verify the flip side, that training a fork detaches its weights
 //! instead of corrupting the original's.
 
-use neural_dropout_search::engine::{EngineBuilder, PredictRequest};
+use neural_dropout_search::engine::{EngineBuilder, Execution, PredictRequest};
 use neural_dropout_search::nn::optim::Sgd;
 use neural_dropout_search::nn::{zoo, Layer, Mode};
 use neural_dropout_search::supernet::{Supernet, SupernetSpec};
@@ -84,6 +84,7 @@ fn engine_rounds_leave_caller_weight_storage_untouched() {
     let mut engine = EngineBuilder::new(supernet.net_mut().clone())
         .samples(4)
         .workers(3)
+        .execution(Execution::RoundMajor)
         .chunk_size(3)
         .build();
     let response = engine.predict(&PredictRequest::new(&images)).unwrap();
